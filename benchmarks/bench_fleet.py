@@ -40,6 +40,7 @@ from repro.loadgen.traces import TraceEvent
 from repro.service.fleet import EvalFleet
 from repro.service.protocol import point_from_request
 from repro.service.server import BackgroundService
+from repro.simulation.parallel import available_cpus
 
 BENCH_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -57,13 +58,6 @@ N_RUNS = 4 if SMOKE else 10
 
 #: Overload arm: requests fired at once vs. the admission budget.
 N_OVERLOAD = 8 if SMOKE else 24
-
-
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _fleet_floor(cores: int):
@@ -99,7 +93,7 @@ def _points(arm: int, n: int = None, rows=None):
 
 def _measure_throughput():
     """In-process vs fleet wall time on one compute-heavy batch."""
-    cores = _cores()
+    cores = available_cpus()
     procs = max(2, min(4, cores))
     floor, floor_note = _fleet_floor(cores)
     points = _points(1)

@@ -54,6 +54,7 @@ from repro.campaign.spec import (
     platform_from_dict,
 )
 from repro.experiments.io import scan_jsonl
+from repro.simulation.parallel import available_cpus
 
 #: Upper bound on points per submitted task (keeps journal streaming
 #: responsive: a chunk is the unit of loss on interruption).  Override
@@ -646,7 +647,8 @@ def run_campaign(
         recomputed (resume); completed points are appended as they finish.
         Corrupt/truncated lines are skipped (and counted on the result).
     n_workers:
-        Process count for the task pool; default ``os.cpu_count()``.
+        Process count for the task pool; default
+        :func:`~repro.simulation.parallel.available_cpus`.
         ``1`` runs in-process (deterministic, no pool) but still journals
         task by task.
     chunksize:
@@ -821,7 +823,7 @@ def _execute(
     if not todo:
         return 0, 0
     explicit_workers = n_workers is not None
-    workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
+    workers = n_workers if n_workers is not None else available_cpus()
     workers = max(1, min(workers, len(todo)))
 
     if packing:

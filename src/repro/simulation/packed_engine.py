@@ -18,9 +18,9 @@ per-point generator the fast tier derives from the campaign seed and the
 point's configuration fingerprint (one ``SeedSequence`` child keyed by
 the point's content hash; see :func:`repro.simulation.dispatch.tier_rng`).
 Inside each sweep, every draw site consumes from the per-job generators
-in job order, with the same method, size and instance order the fast
-engine would use for that job's state.  By induction the per-job state
-trajectories -- and therefore times, counters and
+in job order, with the same variate stream, count and instance order the
+fast engine would use for that job's state.  By induction the per-job
+state trajectories -- and therefore times, counters and
 :class:`GeneralBatchResult` reductions -- are **bit-identical** to solo
 :func:`~repro.simulation.fast_engine.simulate_general_batch` runs,
 whatever the packing: solo, pairs, or a whole campaign in one batch.
@@ -28,6 +28,32 @@ whatever the packing: solo, pairs, or a whole campaign in one batch.
 every layout.  Because results are draw-identical, packed execution does
 not change :data:`~repro.simulation.model.SEMANTICS_VERSION`: cache
 entries computed by the fast tier stay valid.
+
+**Sweep structure.**  The only per-job Python work in a sweep is one
+generator call per job and draw site, filling that job's slice of a
+batch-wide buffer (``standard_exponential(out=...)`` or
+``random(out=...)``).  Everything else runs once per sweep over all
+rows: the per-row schedule gathers, the exposure targets, the
+``exponential(1 / rate)`` scaling (one multiply by a per-row scale
+vector), both next-event searches, the strike, detection and recovery
+outcomes, the counter updates and the disk-recovery retry rounds.  Two
+NumPy identities make this draw-identical (``tests/test_packed_engine.py``
+pins them, so a NumPy release that breaks one fails loudly):
+
+* ``Generator.exponential(scale, n)`` is ``scale * standard_exponential``
+  variate by variate, so filling standard variates and scaling them
+  afterwards reproduces the solo engine's ``exponential`` calls bit for
+  bit; likewise ``random(out=)`` equals ``random(n)``;
+* the stream is consumed variate by variate, so the clean pass's one
+  fused ``2k`` fill per job (``[e_f | e_s]``) equals the solo engine's
+  two ``k``-draws.
+
+The next-event searches use lexicographic ``(job, prefix)`` keys: complex
+numbers with the job index as real part and the exposure prefix as
+imaginary part, which NumPy orders by real part, then imaginary part.
+One ``searchsorted`` over the concatenated keys therefore finds each
+row's position inside its own job's block with exactly the comparisons
+of a per-job search.
 
 All per-row arithmetic gathers each row's *own* schedule values from
 concatenated tables (never offset-shifted copies), so no floating-point
@@ -105,111 +131,150 @@ class PackedJob:
             )
 
 
+#: The counters the clean pass credits per completed op span, in the row
+#: order of :attr:`_Pack.span_cat`; they lead the engine's counter matrix.
+_SPAN_FIELDS = (
+    "memory_checkpoints",
+    "partial_verifications",
+    "guaranteed_verifications",
+)
+_FIELDS = _SPAN_FIELDS + tuple(
+    name for name in COUNTER_FIELDS if name not in _SPAN_FIELDS
+)
+
+
 class _Pack:
     """The ragged struct-of-arrays layout of one packed batch."""
 
     def __init__(self, jobs: Sequence[PackedJob]):
         J = len(jobs)
-        self.jobs = jobs
-        self.n_ops = np.empty(J, dtype=np.int64)
-        self.lf = np.empty(J, dtype=np.float64)
-        self.ls = np.empty(J, dtype=np.float64)
-        self.R_D = np.empty(J, dtype=np.float64)
-        self.R_M = np.empty(J, dtype=np.float64)
-        self.vuln = np.empty(J, dtype=bool)
-        self.rngs = [job.rng for job in jobs]
-
-        kinds_parts: List[np.ndarray] = []
-        durs_parts: List[np.ndarray] = []
-        recalls_parts: List[np.ndarray] = []
-        guar_parts: List[np.ndarray] = []
-        segstart_parts: List[np.ndarray] = []
-        # Per-job views of the *original* frozen prefix arrays: per-row
-        # values are gathered from concatenated copies, but searchsorted
-        # runs against each job's own array so comparisons are exactly
-        # the solo engine's.
-        self.P_views: List[np.ndarray] = []
-        self.Pc_views: List[np.ndarray] = []
-        self.Pv_views: List[np.ndarray] = []
-
-        P_parts: List[np.ndarray] = []
-        Pc_parts: List[np.ndarray] = []
-        npart_parts: List[np.ndarray] = []
-        nguar_parts: List[np.ndarray] = []
-        nmem_parts: List[np.ndarray] = []
-
-        self.op_off = np.zeros(J + 1, dtype=np.int64)
-        self.pre_off = np.zeros(J + 1, dtype=np.int64)
-        self.row_off = np.zeros(J + 1, dtype=np.int64)
-        for j, job in enumerate(jobs):
-            arrays = schedule_arrays(job.pattern, job.platform)
-            sched = arrays.sched
-            self.n_ops[j] = sched.n_ops
-            self.lf[j] = job.platform.lambda_f
-            self.ls[j] = job.platform.lambda_s
-            self.R_D[j] = job.platform.R_D
-            self.R_M[j] = job.platform.R_M
-            self.vuln[j] = job.fail_stop_in_operations
-            kinds_parts.append(sched.kinds)
-            durs_parts.append(sched.durations)
-            recalls_parts.append(sched.recalls)
-            guar_parts.append(sched.guaranteed)
-            segstart_parts.append(sched.segment_start)
-            P_parts.append(arrays.P)
-            Pc_parts.append(arrays.Pc)
-            npart_parts.append(arrays.n_partial_pre)
-            nguar_parts.append(arrays.n_guar_pre)
-            nmem_parts.append(arrays.n_mem_pre)
-            self.P_views.append(arrays.P)
-            self.Pc_views.append(arrays.Pc)
-            self.Pv_views.append(
-                arrays.P if job.fail_stop_in_operations else arrays.Pc
-            )
-            self.op_off[j + 1] = self.op_off[j] + sched.n_ops
-            self.pre_off[j + 1] = self.pre_off[j] + sched.n_ops + 1
-            self.row_off[j + 1] = self.row_off[j] + job.n_instances
-
-        self.kinds_cat = np.concatenate(kinds_parts)
-        self.durs_cat = np.concatenate(durs_parts)
-        self.recalls_cat = np.concatenate(recalls_parts)
-        self.guar_cat = np.concatenate(guar_parts)
-        self.segstart_cat = np.concatenate(segstart_parts)
-        self.P_cat = np.concatenate(P_parts)
-        self.Pc_cat = np.concatenate(Pc_parts)
-        self.npart_cat = np.concatenate(npart_parts)
-        self.nguar_cat = np.concatenate(nguar_parts)
-        self.nmem_cat = np.concatenate(nmem_parts)
-
-        self.n_rows = int(self.row_off[-1])
-        self.row_job = np.repeat(
-            np.arange(J, dtype=np.int64), [job.n_instances for job in jobs]
+        arrays = [schedule_arrays(job.pattern, job.platform) for job in jobs]
+        platforms = [job.platform for job in jobs]
+        self.n_ops = np.array([a.sched.n_ops for a in arrays], dtype=np.int64)
+        self.lf = np.array([p.lambda_f for p in platforms], dtype=np.float64)
+        self.ls = np.array([p.lambda_s for p in platforms], dtype=np.float64)
+        self.R_D = np.array([p.R_D for p in platforms], dtype=np.float64)
+        self.R_M = np.array([p.R_M for p in platforms], dtype=np.float64)
+        self.vuln = np.array(
+            [job.fail_stop_in_operations for job in jobs], dtype=bool
         )
-        # Plain-python copies of the per-job scalars: the sweep loop
-        # touches them once per job per sweep, where NumPy scalar
-        # indexing is measurable overhead.
-        self.lf_list = self.lf.tolist()
-        self.ls_list = self.ls.tolist()
-        self.inv_lf_list = [
-            (1.0 / lf if lf > 0.0 else 0.0) for lf in self.lf_list
-        ]
-        self.inv_ls_list = [
-            (1.0 / ls if ls > 0.0 else 0.0) for ls in self.ls_list
-        ]
-        self.n_ops_list = self.n_ops.tolist()
-        self.R_M_list = self.R_M.tolist()
-        self.vuln_list = self.vuln.tolist()
+        self.has_f = self.lf > 0.0
+        self.has_s = self.ls > 0.0
+        # The solo engine's ``exponential(1.0 / rate)`` scales, per job.
+        self.inv_lf = np.divide(
+            1.0, self.lf, out=np.zeros(J), where=self.has_f
+        )
+        self.inv_ls = np.divide(
+            1.0, self.ls, out=np.zeros(J), where=self.has_s
+        )
+        # Clean-pass draws per row (one per positive rate), and whether
+        # they come from one fused ``[e_f | e_s]`` call.
+        self.n_draws = self.has_f.astype(np.int64) + self.has_s
+        self.fused = (self.has_f & self.has_s).astype(np.int64)
+        # Memory recoveries draw only where a fail-stop strike can
+        # escalate them; disk recoveries are flat costs where none can.
+        self.mem_draw = self.vuln & self.has_f & (self.R_M > 0.0)
+        self.flat_recovery = ~(self.vuln & self.has_f)
 
-    def spans(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Group a *sorted* global-row array by job.
+        sizes = [job.n_instances for job in jobs]
+        self.op_off = np.concatenate(([0], np.cumsum(self.n_ops)))
+        self.pre_off = np.concatenate(([0], np.cumsum(self.n_ops + 1)))
+        self.row_off = np.concatenate(([0], np.cumsum(sizes)))
+        self.job_edges = np.arange(J + 1)
+        self.n_rows = int(self.row_off[-1])
+        self.row_job = np.repeat(np.arange(J), sizes)
+        self.row_n_ops = self.n_ops[self.row_job]
 
-        Returns ``(job_ids, bounds)``: job ``job_ids[i]`` owns
-        ``rows[bounds[job_ids[i]] : bounds[job_ids[i] + 1]]``.  Rows are
-        laid out contiguously per job, so a sorted subset keeps each
-        job's instances in solo order.
+        def cat(name: str) -> np.ndarray:
+            return np.concatenate([getattr(a.sched, name) for a in arrays])
+
+        self.kinds_cat = cat("kinds")
+        self.durs_cat = cat("durations")
+        self.recalls_cat = cat("recalls")
+        self.guar_cat = cat("guaranteed")
+        self.segstart_cat = cat("segment_start")
+        self.P_cat = np.concatenate([a.P for a in arrays])
+        self.Pc_cat = np.concatenate([a.Pc for a in arrays])
+        self.Pv_cat = np.concatenate([
+            a.P if job.fail_stop_in_operations else a.Pc
+            for a, job in zip(arrays, jobs)
+        ])
+        # Completed-op counts before each op, one row per _SPAN_FIELDS.
+        self.span_cat = np.stack([
+            np.concatenate([a.n_mem_pre for a in arrays]),
+            np.concatenate([a.n_partial_pre for a in arrays]),
+            np.concatenate([a.n_guar_pre for a in arrays]),
+        ]).astype(np.int64)
+
+        # Lexicographic (job, prefix) search keys (see the module
+        # docstring).
+        pre_job = np.repeat(np.arange(J), self.n_ops + 1)
+        self.Pv_key = _job_keys(pre_job, self.Pv_cat)
+        self.Pc_key = _job_keys(pre_job, self.Pc_cat)
+
+        # Bound generator methods, one per job: the sweep's only per-job
+        # Python work is calling these.
+        self.std_exp = [job.rng.standard_exponential for job in jobs]
+        self.uniform = [job.rng.random for job in jobs]
+
+    def bounds(self, rows: np.ndarray) -> np.ndarray:
+        """Per-job slice bounds of a *sorted* global-row subset.
+
+        Job ``j`` owns ``rows[b[j] : b[j + 1]]``.  Rows are laid out
+        contiguously per job, so a sorted subset keeps each job's
+        instances in solo order.
         """
-        bounds = np.searchsorted(rows, self.row_off)
-        job_ids = np.nonzero(bounds[1:] > bounds[:-1])[0]
-        return job_ids, bounds
+        return rows.searchsorted(self.row_off)
+
+    def fill(
+        self,
+        fills: List,
+        buf: np.ndarray,
+        bounds: np.ndarray,
+        draws,
+    ) -> None:
+        """Fill each job's ``buf[bounds[j] : bounds[j + 1]]`` from its
+        own generator, for the jobs with rows there and ``draws[j]``."""
+        lo, hi = bounds[:-1], bounds[1:]
+        jobs = ((hi > lo) & draws).nonzero()[0]
+        _fill(fills, buf, jobs, lo[jobs], hi[jobs])
+
+    def next_event(
+        self,
+        keys: np.ndarray,
+        jb: np.ndarray,
+        base: np.ndarray,
+        target: np.ndarray,
+    ) -> np.ndarray:
+        """Local index of the op in which each row's exposure ``target``
+        falls (``n_ops`` past the end), searching the row's own job
+        block of ``keys``; ``base`` is the block's global offset + 1."""
+        return keys.searchsorted(_job_keys(jb, target), side="right") - base
+
+
+def _job_keys(job: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Complex ``job + value * 1j`` keys, built without arithmetic."""
+    key = np.empty(value.size, dtype=np.complex128)
+    key.real = job
+    key.imag = value
+    return key
+
+
+def _fill(
+    fills: List,
+    buf: np.ndarray,
+    jobs: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+) -> None:
+    """Fill ``buf[starts[i] : stops[i]]`` with ``fills[jobs[i]]``.
+
+    The only per-job loop of a sweep: one generator call per job and
+    draw site, in job order, each consuming the job's stream exactly as
+    the solo engine's call at that site does.
+    """
+    for j, s, e in zip(jobs.tolist(), starts.tolist(), stops.tolist()):
+        fills[j](out=buf[s:e])
 
 
 def _recover_packed(
@@ -227,18 +292,22 @@ def _recover_packed(
     flat-cost path, and every retry round draws each job's variates from
     its own generator in subsequence order.
     """
-    jb = pack.row_job[ri]
-    trivial = ~pack.vuln[jb] | (pack.lf[jb] == 0.0)
+    trivial = pack.flat_recovery[pack.row_job[ri]]
     tidx = ri[trivial]
     if tidx.size:
-        tj = jb[trivial]
+        tj = pack.row_job[tidx]
         times[tidx] += pack.R_D[tj] + pack.R_M[tj]
-        counters["disk_recoveries"][tidx] += 1
-        counters["memory_recoveries"][tidx] += 1
+    # Every instance ends with exactly one disk and one memory recovery,
+    # however many retries it takes.
+    counters["disk_recoveries"][ri] += 1
+    counters["memory_recoveries"][ri] += 1
     rem = ri[~trivial]
     if not rem.size:
         return
-    stage = np.zeros(rem.size, dtype=np.int8)
+    # Group by job once; the stable sort keeps each job's rows in
+    # subsequence order, and later rounds only drop rows.
+    rem = rem[np.argsort(pack.row_job[rem], kind="stable")]
+    stage = np.zeros(rem.size, dtype=np.int64)
     rounds = 0
     while rem.size:
         rounds += 1
@@ -250,29 +319,18 @@ def _recover_packed(
             )
         jb = pack.row_job[rem]
         dur = np.where(stage == 0, pack.R_D[jb], pack.R_M[jb])
-        # Per-job draws in subsequence order: the stable sort groups the
-        # (unsorted) recovery set by job without reordering within a job.
-        order = np.argsort(jb, kind="stable")
-        jb_sorted = jb[order]
-        buf = np.empty(rem.size, dtype=np.float64)
-        edges = np.searchsorted(jb_sorted, np.arange(len(pack.jobs) + 1))
-        for j in np.nonzero(edges[1:] > edges[:-1])[0]:
-            s, e = edges[j], edges[j + 1]
-            buf[s:e] = pack.rngs[j].exponential(
-                pack.inv_lf_list[j], size=e - s
-            )
         t_fail = np.empty(rem.size, dtype=np.float64)
-        t_fail[order] = buf
+        pack.fill(pack.std_exp, t_fail, jb.searchsorted(pack.job_edges), True)
+        t_fail *= pack.inv_lf[jb]
         hit = t_fail < dur
         times[rem] += np.where(hit, t_fail, dur)
         counters["fail_stop_errors"][rem[hit]] += 1
-        stage = np.where(hit, 0, stage + 1).astype(np.int8)
-        done = stage == 2
-        fin = rem[done]
-        counters["disk_recoveries"][fin] += 1
-        counters["memory_recoveries"][fin] += 1
-        rem = rem[~done]
-        stage = stage[~done]
+        # A hit sends the instance back to the disk step; success
+        # advances one stage, and stage 2 is recovered.
+        stage = np.where(hit, 0, stage + 1)
+        left = stage < 2
+        rem = rem[left]
+        stage = stage[left]
 
 
 def simulate_packed_batch(
@@ -312,30 +370,17 @@ def simulate_packed_batch(
     pc = np.zeros(N, dtype=np.int64)        # local op index within the job
     pending = np.zeros(N, dtype=np.int64)
     times = np.zeros(N, dtype=np.float64)
-    counters = {name: np.zeros(N, dtype=np.int64) for name in COUNTER_FIELDS}
+    # One counter matrix, span counters first, so the clean pass credits
+    # all three with one update; ``counters`` holds its row views.
+    counts = np.zeros((len(_FIELDS), N), dtype=np.int64)
+    counters = dict(zip(_FIELDS, counts))
 
     row_job = pack.row_job
     op_off = pack.op_off
     pre_off = pack.pre_off
+    row_n_ops = pack.row_n_ops
     n_ops_j = pack.n_ops
-    lf_j, ls_j = pack.lf, pack.ls
-    R_M_j = pack.R_M
-    vuln_j = pack.vuln
-    rngs = pack.rngs
-
-    def _count_span(
-        idx: np.ndarray, ga: np.ndarray, gb: np.ndarray
-    ) -> None:
-        """Credit completed ops in the per-row prefix span [ga, gb)."""
-        counters["partial_verifications"][idx] += (
-            pack.npart_cat[gb] - pack.npart_cat[ga]
-        ).astype(np.int64)
-        counters["guaranteed_verifications"][idx] += (
-            pack.nguar_cat[gb] - pack.nguar_cat[ga]
-        ).astype(np.int64)
-        counters["memory_checkpoints"][idx] += (
-            pack.nmem_cat[gb] - pack.nmem_cat[ga]
-        ).astype(np.int64)
+    std_exp = pack.std_exp
 
     active = np.arange(N)
     sweeps = 0
@@ -359,52 +404,47 @@ def simulate_packed_batch(
             a = pc[clean]
             k = clean.size
             jb = row_job[clean]
-            b_f = np.empty(k, dtype=np.int64)
-            b_s = np.empty(k, dtype=np.int64)
-            target_v = np.zeros(k, dtype=np.float64)
-            job_ids, bounds = pack.spans(clean)
+            bounds = pack.bounds(clean)
+            lo = bounds[:-1]
+            size = bounds[1:] - lo
             clean_visits += k
-            job_sweeps += job_ids.size
-            # Subnormal rates overflow the division to inf, which is the
-            # correct "no strike within the schedule" outcome.
-            lf_list = pack.lf_list
-            ls_list = pack.ls_list
-            with np.errstate(over="ignore"):
-                for j in job_ids:
-                    s, e = bounds[j], bounds[j + 1]
-                    k_j = e - s
-                    aj = a[s:e]
-                    has_f = lf_list[j] > 0.0
-                    has_s = ls_list[j] > 0.0
-                    if has_f and has_s:
-                        # One fused call: NumPy's exponential stream is
-                        # consumed variate by variate, so drawing 2k at
-                        # once is bit-identical to two k-draws.
-                        draws = rngs[j].standard_exponential(2 * k_j)
-                        e_f, e_s = draws[:k_j], draws[k_j:]
-                    elif has_f or has_s:
-                        draws = rngs[j].standard_exponential(k_j)
-                        e_f = e_s = draws
-                    if has_f:
-                        Pv = pack.Pv_views[j]
-                        tv = Pv[aj] + e_f / lf_list[j]
-                        target_v[s:e] = tv
-                        b_f[s:e] = Pv.searchsorted(tv, side="right") - 1
-                    else:
-                        b_f[s:e] = pack.n_ops_list[j]
-                    if has_s:
-                        Pcv = pack.Pc_views[j]
-                        tc = Pcv[aj] + e_s / ls_list[j]
-                        b_s[s:e] = Pcv.searchsorted(tc, side="right") - 1
-                    else:
-                        b_s[s:e] = pack.n_ops_list[j]
-
-            row_n_ops = n_ops_j[jb]
+            job_sweeps += int(np.count_nonzero(size))
+            # Job j's draws fill the block at 2 * lo[j]: [e_f | e_s] in
+            # one fused call when both rates are positive (NumPy's
+            # exponential stream is consumed variate by variate, so one
+            # 2k-draw is bit-identical to two k-draws), else one k-block
+            # that serves whichever rate is positive.
+            draws = np.empty(2 * k, dtype=np.float64)
+            n_draws = pack.n_draws * size
+            djobs = n_draws.nonzero()[0]
+            starts = 2 * lo[djobs]
+            _fill(std_exp, draws, djobs, starts, starts + n_draws[djobs])
+            at_f = np.arange(k) + lo[jb]
+            at_s = at_f + (pack.fused * size)[jb]
             row_pre = pre_off[jb]
+            ga = row_pre + a
+            # Zero-rate rows get an infinite target: their search lands
+            # past the schedule end, i.e. "no strike".  Subnormal rates
+            # overflow the division to inf, which is the correct
+            # outcome too.
+            with np.errstate(over="ignore"):
+                target_v = pack.Pv_cat[ga] + np.divide(
+                    draws[at_f], pack.lf[jb],
+                    out=np.full(k, np.inf), where=pack.has_f[jb],
+                )
+                target_c = pack.Pc_cat[ga] + np.divide(
+                    draws[at_s], pack.ls[jb],
+                    out=np.full(k, np.inf), where=pack.has_s[jb],
+                )
+            base = row_pre + 1
+            b_f = pack.next_event(pack.Pv_key, jb, base, target_v)
+            b_s = pack.next_event(pack.Pc_key, jb, base, target_c)
+
+            n_ops_c = row_n_ops[clean]
             # A crash in the same compute operation supersedes the silent
             # strike (matching the step engine), hence <=.
-            crash = (b_f < row_n_ops) & (b_f <= b_s)
-            strike = (b_s < row_n_ops) & (b_s < b_f)
+            crash = (b_f < n_ops_c) & (b_f <= b_s)
+            strike = (b_s < n_ops_c) & (b_s < b_f)
 
             # One unified pass over all clean rows: every outcome credits
             # the completed span [a, b_end) -- b_end is the crash op for
@@ -414,14 +454,11 @@ def simulate_packed_batch(
             # exactly the solo engine's expressions (the crash extra term
             # is +0.0 elsewhere, and all span increments are
             # non-negative, so adding it is bit-neutral).
-            b_end = np.where(crash, b_f, np.where(strike, b_s + 1, row_n_ops))
-            ga = row_pre + a
+            b_end = np.where(crash, b_f, np.where(strike, b_s + 1, n_ops_c))
             gb = row_pre + b_end
-            vulnerable = vuln_j[jb]
-            Pv_bf = np.where(vulnerable, pack.P_cat[gb], pack.Pc_cat[gb])
-            extra = np.where(crash, target_v - Pv_bf, 0.0)
+            extra = np.where(crash, target_v - pack.Pv_cat[gb], 0.0)
             times[clean] += pack.P_cat[gb] - pack.P_cat[ga] + extra
-            _count_span(clean, ga, gb)
+            counts[:3, clean] += pack.span_cat[:, gb] - pack.span_cat[:, ga]
 
             idx = clean[crash]
             if idx.size:
@@ -431,9 +468,7 @@ def simulate_packed_batch(
             if idx.size:
                 counters["silent_errors"][idx] += 1
                 pending[idx] = 1
-            fin = ~crash & ~strike
-            idx = clean[fin]
-            counters["disk_checkpoints"][idx] += 1
+            counters["disk_checkpoints"][clean[~crash & ~strike]] += 1
             # Crash rows' pc is reset by the recovery block below; strike
             # rows resume at the op after the struck compute; finished
             # rows park at the schedule end.
@@ -447,20 +482,20 @@ def simulate_packed_batch(
             kinds = pack.kinds_cat[g]
             od = pack.durs_cat[g]
             k = dirty.size
-            job_ids, bounds = pack.spans(dirty)
+            bounds = pack.bounds(dirty)
             dirty_visits += k
-            job_sweeps += job_ids.size
+            job_sweeps += int(np.count_nonzero(bounds[1:] > bounds[:-1]))
+            # ``exponential(scale, n)`` is ``scale * standard_exponential``
+            # variate by variate, so the scales are applied afterwards,
+            # batch-wide.  Zero-rate jobs draw nothing and never crash.
             t_fail = np.zeros(k, dtype=np.float64)
-            has_lf = lf_j[jb] > 0.0
-            inv_lf = pack.inv_lf_list
-            for j in job_ids:
-                if inv_lf[j] > 0.0:
-                    s, e = bounds[j], bounds[j + 1]
-                    t_fail[s:e] = rngs[j].exponential(
-                        inv_lf[j], size=e - s
-                    )
-            vulnerable = np.where(vuln_j[jb], True, kinds == OP_COMPUTE)
-            crashed = has_lf & vulnerable & (t_fail < od)
+            pack.fill(std_exp, t_fail, bounds, pack.has_f)
+            t_fail *= pack.inv_lf[jb]
+            crashed = (
+                pack.has_f[jb]
+                & (pack.vuln[jb] | (kinds == OP_COMPUTE))
+                & (t_fail < od)
+            )
             times[dirty] += np.where(crashed, t_fail, od)
             counters["fail_stop_errors"][dirty[crashed]] += 1
             if crashed.any():
@@ -471,17 +506,11 @@ def simulate_packed_batch(
             comp = ok & (kinds == OP_COMPUTE)
             cidx = dirty[comp]
             if cidx.size:
-                struck = np.zeros(cidx.size, dtype=bool)
-                od_comp = od[comp]
-                cjob_ids, cbounds = pack.spans(cidx)
-                inv_ls = pack.inv_ls_list
-                for j in cjob_ids:
-                    if inv_ls[j] > 0.0:
-                        s, e = cbounds[j], cbounds[j + 1]
-                        struck[s:e] = (
-                            rngs[j].exponential(inv_ls[j], size=e - s)
-                            < od_comp[s:e]
-                        )
+                cj = jb[comp]
+                t_strike = np.zeros(cidx.size, dtype=np.float64)
+                pack.fill(std_exp, t_strike, pack.bounds(cidx), pack.has_s)
+                t_strike *= pack.inv_ls[cj]
+                struck = pack.has_s[cj] & (t_strike < od[comp])
                 pending[cidx] += struck
                 counters["silent_errors"][cidx] += struck
             pc[cidx] += 1
@@ -497,10 +526,7 @@ def simulate_packed_batch(
                     pack.recalls_cat[gv], pending[vidx]
                 )
                 u = np.empty(vidx.size, dtype=np.float64)
-                vjob_ids, vbounds = pack.spans(vidx)
-                for j in vjob_ids:
-                    s, e = vbounds[j], vbounds[j + 1]
-                    u[s:e] = rngs[j].random(e - s)
+                pack.fill(pack.uniform, u, pack.bounds(vidx), True)
                 detected = u < p_det
                 counters["silent_detections_guaranteed"][
                     vidx[detected & guaranteed]
@@ -513,25 +539,15 @@ def simulate_packed_batch(
                 if didx.size:
                     # Memory recovery; a fail-stop hit during it escalates
                     # to a disk recovery and a pattern restart.
-                    esc = np.zeros(didx.size, dtype=bool)
-                    djob_ids, dbounds = pack.spans(didx)
-                    for j in djob_ids:
-                        s, e = dbounds[j], dbounds[j + 1]
-                        rows = didx[s:e]
-                        R_M = pack.R_M_list[j]
-                        if (
-                            pack.vuln_list[j]
-                            and pack.inv_lf_list[j] > 0.0
-                            and R_M > 0.0
-                        ):
-                            t_rec = rngs[j].exponential(
-                                pack.inv_lf_list[j], size=e - s
-                            )
-                            esc_j = t_rec < R_M
-                            esc[s:e] = esc_j
-                            times[rows] += np.where(esc_j, t_rec, R_M)
-                        else:
-                            times[rows] += R_M
+                    dj = row_job[didx]
+                    t_rec = np.zeros(didx.size, dtype=np.float64)
+                    pack.fill(
+                        std_exp, t_rec, pack.bounds(didx), pack.mem_draw
+                    )
+                    t_rec *= pack.inv_lf[dj]
+                    R_M = pack.R_M[dj]
+                    esc = pack.mem_draw[dj] & (t_rec < R_M)
+                    times[didx] += np.where(esc, t_rec, R_M)
                     counters["fail_stop_errors"][didx[esc]] += 1
                     good = didx[~esc]
                     counters["memory_recoveries"][good] += 1
@@ -550,7 +566,7 @@ def simulate_packed_batch(
             pc[midx] += 1
             dcidx = dirty[ok & (kinds == OP_DISK_CKPT)]
             counters["disk_checkpoints"][dcidx] += 1
-            pc[dcidx] = n_ops_j[row_job[dcidx]]
+            pc[dcidx] = row_n_ops[dcidx]
 
         # ---- disk recovery + pattern restart ------------------------------
         if recover:
@@ -559,7 +575,7 @@ def simulate_packed_batch(
             pc[ri] = 0
             pending[ri] = 0
 
-        active = active[pc[active] < n_ops_j[row_job[active]]]
+        active = active[pc[active] < row_n_ops[active]]
 
     last_batch_stats.clear()
     last_batch_stats.update(

@@ -71,6 +71,19 @@ def _run_chunk(
     return out
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: the default worker-pool size.
+
+    Honours ``taskset`` and cpusets through the scheduler affinity mask
+    where the platform has one; ``os.cpu_count()`` counts every CPU of
+    the machine.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
 def default_chunksize(
     n_tasks: int, n_workers: int, *, cap: Optional[int] = None
 ) -> int:
@@ -107,7 +120,8 @@ def run_monte_carlo_parallel(
     Parameters
     ----------
     n_workers:
-        Process count; defaults to ``os.cpu_count()`` capped at ``n_runs``.
+        Process count; defaults to :func:`available_cpus` capped at
+        ``n_runs``.
         ``n_workers=1`` falls back to in-process execution (no pool), which
         is also the deterministic reference for tests.
     chunksize:
@@ -169,7 +183,7 @@ def run_monte_carlo_parallel(
     children = root.spawn(n_runs)
     seed_payloads = [(c.entropy, c.spawn_key) for c in children]
 
-    workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
+    workers = n_workers if n_workers is not None else available_cpus()
     workers = max(1, min(workers, n_runs))
 
     if workers == 1:

@@ -2,6 +2,7 @@
 of campaign results with direct Monte-Carlo calls."""
 
 import json
+import os
 
 import pytest
 
@@ -279,3 +280,26 @@ class TestValidation:
         assert record["mode"] == "optimize"
         assert "simulated" not in record
         assert record["H*"] > 0 and record["n*"] >= 1
+
+
+class TestDefaultWorkers:
+    def test_pinned_process_evaluates_in_process(
+        self, tiny_platform, monkeypatch
+    ):
+        """The default pool size follows the affinity mask, not the
+        machine's CPU count: pinned to one CPU, no pool is forked."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("forked a worker pool on one CPU")
+
+        monkeypatch.setattr(
+            "repro.campaign.executor.ProcessPoolExecutor", no_pool
+        )
+        points = _points(tiny_platform)
+        result = run_campaign(points)
+        assert result.n_computed == len(points)
+        assert result.records == run_campaign(points, n_workers=1).records

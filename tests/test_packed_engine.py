@@ -254,3 +254,70 @@ def test_mixed_fail_stop_settings_in_one_pack(config_matrix):
     ]
     for s, p in zip(solo, simulate_packed_batch(jobs)):
         _assert_same(s, p)
+
+
+def test_stressed_rates_are_bit_identical_to_solo():
+    """Error rates x5-x20 drive the rarely reached recovery loops.
+
+    One batch mixes both fail-stop settings and zero-rate corners (one
+    rate or both off); at these rates disk recoveries are themselves
+    struck, so the retry rounds run with several jobs at once.
+    """
+    w14 = weak_scaling_platform(2**14)
+    fixed = build_pattern(PatternKind.PDMV, 4000.0, n=3, m=2)
+    configs = [
+        _optimised(PatternKind.PDMV, w14.scaled_rates(5, 5)),
+        _optimised(PatternKind.PDMV, w14.scaled_rates(5, 5), fs=False),
+        _optimised(PatternKind.PD, w14.scaled_rates(10, 10)),
+        _optimised(PatternKind.PDV, hera().scaled_rates(10, 20)),
+        _optimised(PatternKind.PDMV_STAR, hera().scaled_rates(20, 5),
+                   fs=False),
+        (fixed, hera().scaled_rates(20, 0), True),
+        (fixed, hera().scaled_rates(0, 20), True),
+        (fixed, hera().scaled_rates(0, 0), False),
+    ]
+
+    def run(i):
+        pattern, platform, fs = configs[i]
+        return PackedJob(
+            pattern, platform, 300, np.random.default_rng([SEED, 200 + i]),
+            fail_stop_in_operations=fs,
+        )
+
+    solo = [
+        simulate_general_batch(
+            job.pattern, job.platform, job.n_instances, job.rng,
+            fail_stop_in_operations=job.fail_stop_in_operations,
+        )
+        for job in map(run, range(len(configs)))
+    ]
+    packed = simulate_packed_batch([run(i) for i in range(len(configs))])
+    for s, p in zip(solo, packed):
+        _assert_same(s, p)
+    fail_stops = sum(int(s.counters["fail_stop_errors"].sum()) for s in solo)
+    disk = sum(int(s.counters["disk_recoveries"].sum()) for s in solo)
+    assert fail_stops > disk
+
+
+def test_numpy_stream_identities():
+    """The NumPy identities the packed engine's draws rely on.
+
+    The engine fills per-job slices of batch-wide buffers with
+    ``standard_exponential(out=)`` / ``random(out=)`` and applies the
+    ``exponential`` scales afterwards; a NumPy release that changes any
+    of these breaks draw identity with the solo engine.
+    """
+    scale = 1.0 / 3.7e-5
+    fused = np.empty(2 * 97)
+    np.random.default_rng(5).standard_exponential(out=fused)
+    rng = np.random.default_rng(5)
+    assert np.array_equal(fused[:97], rng.standard_exponential(97))
+    assert np.array_equal(fused[97:], rng.standard_exponential(97))
+
+    buf = np.empty(97)
+    np.random.default_rng(6).standard_exponential(out=buf)
+    expected = np.random.default_rng(6).exponential(scale, 97)
+    assert np.array_equal(buf * scale, expected)
+
+    np.random.default_rng(7).random(out=buf)
+    assert np.array_equal(buf, np.random.default_rng(7).random(97))

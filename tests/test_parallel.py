@@ -1,10 +1,15 @@
 """Unit tests for the process-parallel Monte-Carlo runner."""
 
+import os
+
 import pytest
 
 from repro.core.builders import PatternKind, pattern_pd
 from repro.core.formulas import optimal_pattern
-from repro.simulation.parallel import run_monte_carlo_parallel
+from repro.simulation.parallel import (
+    available_cpus,
+    run_monte_carlo_parallel,
+)
 from repro.simulation.runner import run_monte_carlo
 
 
@@ -164,3 +169,41 @@ class TestChunkedRunner:
         assert default_chunksize(8, 8) == 1  # small: one run per task
         assert default_chunksize(1000, 4) == 63  # ~4 tasks per worker
         assert default_chunksize(0, 4) == 1
+
+
+class TestDefaultWorkers:
+    @pytest.fixture
+    def one_cpu(self, monkeypatch):
+        """A process pinned to one CPU of an eight-CPU machine."""
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def test_available_cpus_follows_affinity_mask(self, one_cpu):
+        assert available_cpus() == 1
+
+    def test_available_cpus_without_affinity_api(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert available_cpus() == 3
+
+    def test_pinned_process_runs_in_process(
+        self, one_cpu, tiny_platform, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("forked a worker pool on one CPU")
+
+        monkeypatch.setattr(
+            "repro.simulation.parallel.ProcessPoolExecutor", no_pool
+        )
+        pat = pattern_pd(400.0)
+        par = run_monte_carlo_parallel(
+            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7
+        )
+        seq = run_monte_carlo(
+            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7
+        )
+        assert par.simulated_overhead == pytest.approx(
+            seq.simulated_overhead, rel=1e-12
+        )
