@@ -161,11 +161,13 @@ class _Pack:
         self.has_f = self.lf > 0.0
         self.has_s = self.ls > 0.0
         # The solo engine's ``exponential(1.0 / rate)`` scales, per job.
-        self.inv_lf = np.divide(
-            1.0, self.lf, out=np.zeros(J), where=self.has_f
+        # Zero-rate jobs draw nothing: their buffer slots stay +inf ("no
+        # strike") and keep scale 1 so that the scaling leaves them so.
+        self.scale_f = np.divide(
+            1.0, self.lf, out=np.ones(J), where=self.has_f
         )
-        self.inv_ls = np.divide(
-            1.0, self.ls, out=np.zeros(J), where=self.has_s
+        self.scale_s = np.divide(
+            1.0, self.ls, out=np.ones(J), where=self.has_s
         )
         # Clean-pass draws per row (one per positive rate), and whether
         # they come from one fused ``[e_f | e_s]`` call.
@@ -321,7 +323,7 @@ def _recover_packed(
         dur = np.where(stage == 0, pack.R_D[jb], pack.R_M[jb])
         t_fail = np.empty(rem.size, dtype=np.float64)
         pack.fill(pack.std_exp, t_fail, jb.searchsorted(pack.job_edges), True)
-        t_fail *= pack.inv_lf[jb]
+        t_fail *= pack.scale_f[jb]
         hit = t_fail < dur
         times[rem] += np.where(hit, t_fail, dur)
         counters["fail_stop_errors"][rem[hit]] += 1
@@ -487,15 +489,12 @@ def simulate_packed_batch(
             job_sweeps += int(np.count_nonzero(bounds[1:] > bounds[:-1]))
             # ``exponential(scale, n)`` is ``scale * standard_exponential``
             # variate by variate, so the scales are applied afterwards,
-            # batch-wide.  Zero-rate jobs draw nothing and never crash.
-            t_fail = np.zeros(k, dtype=np.float64)
+            # batch-wide.
+            t_fail = np.full(k, np.inf)
             pack.fill(std_exp, t_fail, bounds, pack.has_f)
-            t_fail *= pack.inv_lf[jb]
-            crashed = (
-                pack.has_f[jb]
-                & (pack.vuln[jb] | (kinds == OP_COMPUTE))
-                & (t_fail < od)
-            )
+            t_fail *= pack.scale_f[jb]
+            is_comp = kinds == OP_COMPUTE
+            crashed = (pack.vuln[jb] | is_comp) & (t_fail < od)
             times[dirty] += np.where(crashed, t_fail, od)
             counters["fail_stop_errors"][dirty[crashed]] += 1
             if crashed.any():
@@ -503,14 +502,13 @@ def simulate_packed_batch(
             ok = ~crashed
 
             # Compute chunks executed while corrupted: more strikes stack.
-            comp = ok & (kinds == OP_COMPUTE)
+            comp = ok & is_comp
             cidx = dirty[comp]
             if cidx.size:
-                cj = jb[comp]
-                t_strike = np.zeros(cidx.size, dtype=np.float64)
+                t_strike = np.full(cidx.size, np.inf)
                 pack.fill(std_exp, t_strike, pack.bounds(cidx), pack.has_s)
-                t_strike *= pack.inv_ls[cj]
-                struck = pack.has_s[cj] & (t_strike < od[comp])
+                t_strike *= pack.scale_s[jb[comp]]
+                struck = t_strike < od[comp]
                 pending[cidx] += struck
                 counters["silent_errors"][cidx] += struck
             pc[cidx] += 1
@@ -540,13 +538,13 @@ def simulate_packed_batch(
                     # Memory recovery; a fail-stop hit during it escalates
                     # to a disk recovery and a pattern restart.
                     dj = row_job[didx]
-                    t_rec = np.zeros(didx.size, dtype=np.float64)
+                    t_rec = np.full(didx.size, np.inf)
                     pack.fill(
                         std_exp, t_rec, pack.bounds(didx), pack.mem_draw
                     )
-                    t_rec *= pack.inv_lf[dj]
+                    t_rec *= pack.scale_f[dj]
                     R_M = pack.R_M[dj]
-                    esc = pack.mem_draw[dj] & (t_rec < R_M)
+                    esc = t_rec < R_M
                     times[didx] += np.where(esc, t_rec, R_M)
                     counters["fail_stop_errors"][didx[esc]] += 1
                     good = didx[~esc]
