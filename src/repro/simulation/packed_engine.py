@@ -63,7 +63,7 @@ operation differs from the solo engine's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -149,12 +149,11 @@ class _Pack:
     def __init__(self, jobs: Sequence[PackedJob]):
         J = len(jobs)
         arrays = [schedule_arrays(job.pattern, job.platform) for job in jobs]
-        platforms = [job.platform for job in jobs]
         self.n_ops = np.array([a.sched.n_ops for a in arrays], dtype=np.int64)
-        self.lf = np.array([p.lambda_f for p in platforms], dtype=np.float64)
-        self.ls = np.array([p.lambda_s for p in platforms], dtype=np.float64)
-        self.R_D = np.array([p.R_D for p in platforms], dtype=np.float64)
-        self.R_M = np.array([p.R_M for p in platforms], dtype=np.float64)
+        self.lf, self.ls, self.R_D, self.R_M = np.array([
+            (p.lambda_f, p.lambda_s, p.R_D, p.R_M)
+            for p in (job.platform for job in jobs)
+        ], dtype=np.float64).T
         self.vuln = np.array(
             [job.fail_stop_in_operations for job in jobs], dtype=bool
         )
@@ -169,13 +168,10 @@ class _Pack:
         self.scale_s = np.divide(
             1.0, self.ls, out=np.ones(J), where=self.has_s
         )
-        # Clean-pass draws per row (one per positive rate), and whether
-        # they come from one fused ``[e_f | e_s]`` call.
-        self.n_draws = self.has_f.astype(np.int64) + self.has_s
-        self.fused = (self.has_f & self.has_s).astype(np.int64)
         # Memory recoveries draw only where a fail-stop strike can
         # escalate them; disk recoveries are flat costs where none can.
         self.mem_draw = self.vuln & self.has_f & (self.R_M > 0.0)
+        self.any_rate = self.has_f | self.has_s
         self.flat_recovery = ~(self.vuln & self.has_f)
 
         sizes = [job.n_instances for job in jobs]
@@ -202,11 +198,11 @@ class _Pack:
             for a, job in zip(arrays, jobs)
         ])
         # Completed-op counts before each op, one row per _SPAN_FIELDS.
-        self.span_cat = np.stack([
+        self.span_cat = np.array([
             np.concatenate([a.n_mem_pre for a in arrays]),
             np.concatenate([a.n_partial_pre for a in arrays]),
             np.concatenate([a.n_guar_pre for a in arrays]),
-        ]).astype(np.int64)
+        ], dtype=np.int64)
 
         # Lexicographic (job, prefix) search keys (see the module
         # docstring).
@@ -240,18 +236,6 @@ class _Pack:
         lo, hi = bounds[:-1], bounds[1:]
         jobs = ((hi > lo) & draws).nonzero()[0]
         _fill(fills, buf, jobs, lo[jobs], hi[jobs])
-
-    def next_event(
-        self,
-        keys: np.ndarray,
-        jb: np.ndarray,
-        base: np.ndarray,
-        target: np.ndarray,
-    ) -> np.ndarray:
-        """Local index of the op in which each row's exposure ``target``
-        falls (``n_ops`` past the end), searching the row's own job
-        block of ``keys``; ``base`` is the block's global offset + 1."""
-        return keys.searchsorted(_job_keys(jb, target), side="right") - base
 
 
 def _job_keys(job: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -381,7 +365,6 @@ def simulate_packed_batch(
     op_off = pack.op_off
     pre_off = pack.pre_off
     row_n_ops = pack.row_n_ops
-    n_ops_j = pack.n_ops
     std_exp = pack.std_exp
 
     active = np.arange(N)
@@ -411,36 +394,38 @@ def simulate_packed_batch(
             size = bounds[1:] - lo
             clean_visits += k
             job_sweeps += int(np.count_nonzero(size))
-            # Job j's draws fill the block at 2 * lo[j]: [e_f | e_s] in
-            # one fused call when both rates are positive (NumPy's
-            # exponential stream is consumed variate by variate, so one
-            # 2k-draw is bit-identical to two k-draws), else one k-block
-            # that serves whichever rate is positive.
-            draws = np.empty(2 * k, dtype=np.float64)
-            n_draws = pack.n_draws * size
-            djobs = n_draws.nonzero()[0]
-            starts = 2 * lo[djobs]
-            _fill(std_exp, draws, djobs, starts, starts + n_draws[djobs])
+            # Job j's draws go to the block [2 lo[j], 2 hi[j]): e_f in the
+            # first half, e_s in the second.  With both rates positive,
+            # one fused call fills the block (NumPy's exponential stream
+            # is consumed variate by variate, so one 2k-draw is
+            # bit-identical to two k-draws); with one, a k-call fills its
+            # half.  Unfilled halves stay +inf: a zero rate's target is
+            # +inf, so its search lands past the schedule end ("no
+            # strike").  Subnormal rates overflow the division to inf,
+            # the same outcome.
+            hi = bounds[1:]
+            draws = np.full(2 * k, np.inf)
+            djobs = (size * pack.any_rate).nonzero()[0]
+            _fill(
+                std_exp, draws, djobs,
+                np.where(pack.has_f, 2 * lo, lo + hi)[djobs],
+                np.where(pack.has_s, 2 * hi, lo + hi)[djobs],
+            )
             at_f = np.arange(k) + lo[jb]
-            at_s = at_f + (pack.fused * size)[jb]
             row_pre = pre_off[jb]
             ga = row_pre + a
-            # Zero-rate rows get an infinite target: their search lands
-            # past the schedule end, i.e. "no strike".  Subnormal rates
-            # overflow the division to inf, which is the correct
-            # outcome too.
             with np.errstate(over="ignore"):
-                target_v = pack.Pv_cat[ga] + np.divide(
-                    draws[at_f], pack.lf[jb],
-                    out=np.full(k, np.inf), where=pack.has_f[jb],
+                target_v = pack.Pv_cat[ga] + draws[at_f] / pack.lf[jb]
+                target_c = (
+                    pack.Pc_cat[ga] + draws[at_f + size[jb]] / pack.ls[jb]
                 )
-                target_c = pack.Pc_cat[ga] + np.divide(
-                    draws[at_s], pack.ls[jb],
-                    out=np.full(k, np.inf), where=pack.has_s[jb],
-                )
+            # Local index of the op in which each target falls (n_ops
+            # past the end), found inside the row's own job block.
             base = row_pre + 1
-            b_f = pack.next_event(pack.Pv_key, jb, base, target_v)
-            b_s = pack.next_event(pack.Pc_key, jb, base, target_c)
+            key = _job_keys(jb, target_v)
+            b_f = pack.Pv_key.searchsorted(key, side="right") - base
+            key.imag = target_c
+            b_s = pack.Pc_key.searchsorted(key, side="right") - base
 
             n_ops_c = row_n_ops[clean]
             # A crash in the same compute operation supersedes the silent
