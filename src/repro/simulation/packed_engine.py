@@ -63,7 +63,7 @@ operation differs from the solo engine's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -229,7 +229,7 @@ class _Pack:
         fills: List,
         buf: np.ndarray,
         bounds: np.ndarray,
-        draws,
+        draws: Union[np.ndarray, bool],
     ) -> None:
         """Fill each job's ``buf[bounds[j] : bounds[j + 1]]`` from its
         own generator, for the jobs with rows there and ``draws[j]``."""
@@ -239,7 +239,8 @@ class _Pack:
 
 
 def _job_keys(job: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Complex ``job + value * 1j`` keys, built without arithmetic."""
+    """Complex ``job + value * 1j`` keys; assignment, not arithmetic,
+    so every imaginary part is exactly its value."""
     key = np.empty(value.size, dtype=np.complex128)
     key.real = job
     key.imag = value
@@ -390,8 +391,8 @@ def simulate_packed_batch(
             k = clean.size
             jb = row_job[clean]
             bounds = pack.bounds(clean)
-            lo = bounds[:-1]
-            size = bounds[1:] - lo
+            lo, hi = bounds[:-1], bounds[1:]
+            size = hi - lo
             clean_visits += k
             job_sweeps += int(np.count_nonzero(size))
             # Job j's draws go to the block [2 lo[j], 2 hi[j]): e_f in the
@@ -403,7 +404,6 @@ def simulate_packed_batch(
             # +inf, so its search lands past the schedule end ("no
             # strike").  Subnormal rates overflow the division to inf,
             # the same outcome.
-            hi = bounds[1:]
             draws = np.full(2 * k, np.inf)
             djobs = (size * pack.any_rate).nonzero()[0]
             _fill(
@@ -445,7 +445,9 @@ def simulate_packed_batch(
             gb = row_pre + b_end
             extra = np.where(crash, target_v - pack.Pv_cat[gb], 0.0)
             times[clean] += pack.P_cat[gb] - pack.P_cat[ga] + extra
-            counts[:3, clean] += pack.span_cat[:, gb] - pack.span_cat[:, ga]
+            counts[: len(_SPAN_FIELDS), clean] += (
+                pack.span_cat[:, gb] - pack.span_cat[:, ga]
+            )
 
             idx = clean[crash]
             if idx.size:

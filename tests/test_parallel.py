@@ -191,6 +191,9 @@ class TestDefaultWorkers:
     def test_pinned_process_runs_in_process(
         self, one_cpu, tiny_platform, monkeypatch
     ):
+        """The step tier's default pool size follows the affinity mask:
+        pinned to one CPU, no pool is forked."""
+
         def no_pool(*args, **kwargs):
             raise AssertionError("forked a worker pool on one CPU")
 
@@ -199,10 +202,12 @@ class TestDefaultWorkers:
         )
         pat = pattern_pd(400.0)
         par = run_monte_carlo_parallel(
-            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7
+            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7,
+            engine="step",
         )
         seq = run_monte_carlo(
-            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7
+            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7,
+            engine="step",
         )
         assert par.simulated_overhead == pytest.approx(
             seq.simulated_overhead, rel=1e-12
