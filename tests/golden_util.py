@@ -1,6 +1,6 @@
 """Shared definitions of the golden regression fixtures.
 
-Two fixture families live under ``tests/golden/``:
+The fixture families under ``tests/golden/``:
 
 * ``engine_golden.json`` freezes the *bit-exact* ``SimulationStats`` the
   step engine produces for a small pattern x platform x fail-stop matrix
@@ -14,6 +14,9 @@ Two fixture families live under ``tests/golden/``:
   regression-pinned exactly like the step engine
   (``tests/test_golden_tables.py``; floats compared at ``rtol 1e-12``
   to absorb libm variation across builds).
+* ``figures_golden.json`` pins the rows of the Figure 7-9 drivers and
+  the simulated accuracy sweep on small Monte-Carlo sizes, exactly and
+  in column order (``tests/test_golden_figures.py``).
 
 Regenerate deliberately with ``python tests/golden/regenerate.py`` after
 an intended semantics change (and bump
@@ -168,10 +171,12 @@ def compute_table2_golden() -> Dict[str, Any]:
     }
 
 
-def _write_json(path: str, payload: Dict[str, Any]) -> str:
+def _write_json(
+    path: str, payload: Dict[str, Any], *, sort_keys: bool = True
+) -> str:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=sort_keys)
         fh.write("\n")
     return path
 
@@ -268,3 +273,83 @@ def write_packed_campaign_golden() -> str:
             "records": compute_packed_campaign_golden(),
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# figure fixtures (Figures 7-9 and the accuracy sweep)
+# ---------------------------------------------------------------------------
+
+FIGURES_GOLDEN_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "golden",
+    "figures_golden.json",
+)
+
+#: Small Monte-Carlo sizes: every case runs in well under a second.
+FIGURE_MC = {"n_patterns": 4, "n_runs": 3}
+
+#: Node counts of the weak-scaling cases: low, mid and high error regime.
+FIGURE_NODES = (256, 4096, 65536)
+
+#: Rate factors of the Figure-9 cases.
+FIGURE_FACTORS = (0.5, 1.0, 2.0)
+
+
+def compute_figures_golden() -> Dict[str, List[Dict[str, Any]]]:
+    """Rows of every figure driver on small Monte-Carlo sizes.
+
+    Keys name the case; values are the rows exactly as the public
+    ``run_*`` functions return them (and the CLI prints them).
+    """
+    from repro.analysis.accuracy import accuracy_sweep
+    from repro.experiments.fig7 import run_weak_scaling
+    from repro.experiments.fig8 import run_fig8
+    from repro.experiments.fig9 import (
+        run_error_rate_grid,
+        run_error_rate_sweep,
+    )
+
+    cases: Dict[str, List[Dict[str, Any]]] = {}
+    for engine in ("auto", "fast", "step", "analytic"):
+        cases[f"fig7_{engine}"] = run_weak_scaling(
+            FIGURE_NODES, seed=SEED + 7, engine=engine, **FIGURE_MC
+        )
+    cases["fig8"] = run_fig8(FIGURE_NODES, seed=SEED + 8, **FIGURE_MC)
+    cases["fig9_grid"] = run_error_rate_grid(
+        FIGURE_FACTORS, seed=SEED + 9, **FIGURE_MC
+    )
+    for vary in ("f", "s"):
+        cases[f"fig9_sweep_{vary}"] = run_error_rate_sweep(
+            vary, FIGURE_FACTORS, seed=SEED + 10, **FIGURE_MC
+        )
+    for kind in (PatternKind.PD, PatternKind.PDMV_STAR):
+        cases[f"accuracy_{kind.value}"] = accuracy_sweep(
+            FIGURE_NODES, kind=kind, simulate=True, seed=SEED + 12,
+            **FIGURE_MC,
+        )
+    return cases
+
+
+def write_figures_golden() -> str:
+    """Recompute and overwrite the figure fixture.
+
+    Keys stay in row order: column order is part of what the CLI prints.
+    """
+    return _write_json(
+        FIGURES_GOLDEN_PATH,
+        {
+            "comment": (
+                "Figure-driver rows pinned exactly; regenerate with "
+                "tests/golden/regenerate.py figures after an intended "
+                "semantics change (and bump SEMANTICS_VERSION or "
+                "ANALYTIC_VERSION)."
+            ),
+            "cases": compute_figures_golden(),
+        },
+        sort_keys=False,
+    )
+
+
+def load_figures_golden() -> Dict[str, List[Dict[str, Any]]]:
+    """Load the frozen figure fixture's cases."""
+    with open(FIGURES_GOLDEN_PATH) as fh:
+        return json.load(fh)["cases"]
