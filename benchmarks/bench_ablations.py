@@ -15,7 +15,7 @@ from repro.core.firstorder import decompose_overhead
 from repro.core.formulas import optimal_pattern
 from repro.core.optimizer import optimize_period, refine_integer_parameters
 from repro.core.pattern import Pattern
-from repro.experiments.report import format_table
+from repro.io import format_table
 from repro.platforms.catalog import PLATFORMS, hera
 from repro.simulation.runner import run_monte_carlo
 

@@ -9,11 +9,11 @@ fixes at (0.8, V*/100).
 import pytest
 
 from repro.core.baselines import compare_with_classical
-from repro.experiments.report import format_table
 from repro.experiments.sensitivity import (
     recall_sweep,
     verification_cost_sweep,
 )
+from repro.io import format_table
 from repro.platforms.catalog import PLATFORMS
 from repro.platforms.catalog import hera
 

@@ -4,9 +4,10 @@ Two claims are measured:
 
 * a fully-cached re-run of a >= 100-point campaign costs (almost)
   nothing -- the acceptance bar is a >= 10x wall-time reduction;
-* batching many small Monte-Carlo runs per pool task (the ``chunksize``
-  heuristic) is never slower than one-future-per-run submission, and
-  results stay bit-identical.
+* batching many small scenario points per pool task (the ``chunksize``
+  heuristic) is never slower than one-future-per-point submission, and
+  records stay bit-identical.  Step-engine points are used: they never
+  pack, so every one of them goes through the chunked pool.
 """
 
 import os
@@ -16,10 +17,8 @@ import pytest
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import run_campaign
-from repro.campaign.spec import CampaignSpec
-from repro.core.builders import pattern_pd
+from repro.campaign.spec import CampaignSpec, ScenarioPoint, platform_to_dict
 from repro.platforms.platform import Platform, default_costs
-from repro.simulation.parallel import run_monte_carlo_parallel
 
 
 @pytest.fixture
@@ -90,26 +89,31 @@ def test_campaign_resume_from_journal(tmp_path, once):
 
 @pytest.mark.benchmark(group="campaign")
 def test_chunked_vs_unchunked_pool(tiny_platform, once):
-    """Chunked submission amortises pool overhead for small runs."""
-    pattern = pattern_pd(400.0)
+    """Chunked submission amortises pool overhead for small points."""
+    pdict = platform_to_dict(tiny_platform)
+    points = [
+        ScenarioPoint(
+            mode="simulate",
+            kind="PD",
+            platform=pdict,
+            n_patterns=1,
+            n_runs=2,
+            seed=99 + i,
+            engine="step",
+        )
+        for i in range(256)
+    ]
     workers = min(4, os.cpu_count() or 1)
-    mc = dict(n_patterns=2, n_runs=256, seed=99, n_workers=workers)
 
     t0 = time.perf_counter()
-    unchunked = run_monte_carlo_parallel(
-        pattern, tiny_platform, chunksize=1, **mc
-    )
+    unchunked = run_campaign(points, n_workers=workers, chunksize=1)
     unchunked_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    chunked = once(
-        run_monte_carlo_parallel, pattern, tiny_platform, **mc
-    )
+    chunked = once(run_campaign, points, n_workers=workers)
     chunked_time = time.perf_counter() - t0
 
-    assert chunked.simulated_overhead == pytest.approx(
-        unchunked.simulated_overhead, rel=1e-12
-    )
+    assert chunked.records == unchunked.records
     print(
         f"\nunchunked {unchunked_time * 1e3:.1f} ms, "
         f"chunked {chunked_time * 1e3:.1f} ms "

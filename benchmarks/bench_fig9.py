@@ -13,7 +13,7 @@ from repro.experiments.fig9 import (
     run_error_rate_grid,
     run_error_rate_sweep,
 )
-from repro.experiments.report import format_table
+from repro.io import format_table
 
 FACTORS = (0.2, 1.0, 2.0)
 # The vectorised engine makes paper-leaning Monte-Carlo sizes cheap;

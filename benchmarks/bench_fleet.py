@@ -32,6 +32,7 @@ import pytest
 
 from _history import write_bench_record
 from repro.campaign.executor import (
+    available_cpus,
     evaluate_point,
     evaluate_points_packed,
 )
@@ -40,7 +41,6 @@ from repro.loadgen.traces import TraceEvent
 from repro.service.fleet import EvalFleet
 from repro.service.protocol import point_from_request
 from repro.service.server import BackgroundService
-from repro.simulation.parallel import available_cpus
 
 BENCH_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir,

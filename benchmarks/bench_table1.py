@@ -8,8 +8,8 @@ overhead, and the full pattern PDMV is the best everywhere.
 import pytest
 
 from repro.core.builders import PatternKind
-from repro.experiments.report import format_table
 from repro.experiments.table1 import run_table1
+from repro.io import format_table
 from repro.platforms.catalog import PLATFORMS
 
 

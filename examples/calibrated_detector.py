@@ -25,7 +25,7 @@ from repro.application.analytics import (
 from repro.application.heat import Heat1D
 from repro.core.builders import PatternKind
 from repro.core.formulas import optimal_pattern
-from repro.experiments.report import format_table
+from repro.io import format_table
 from repro.platforms.catalog import hera
 from repro.verification.detectors import PartialDetector
 from repro.verification.portfolio import optimize_with_portfolio, portfolio_report

@@ -18,7 +18,7 @@ from repro.experiments.fig9 import (
     run_error_rate_grid,
     run_error_rate_sweep,
 )
-from repro.experiments.report import format_table
+from repro.io import format_table
 
 
 def main() -> None:

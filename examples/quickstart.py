@@ -13,7 +13,7 @@ Run: ``python examples/quickstart.py``
 
 from repro import PatternKind, hera, optimal_pattern, optimize_all_patterns
 from repro.core.pattern import pattern_signature
-from repro.experiments.report import format_table
+from repro.io import format_table
 from repro.simulation.runner import simulate_optimal_pattern
 
 

@@ -7,7 +7,8 @@ side for each point:
 
 * ``H_first_order`` -- the Table-1 closed form;
 * ``H_exact`` -- the exact recursive model at the same pattern;
-* ``H_simulated`` -- Monte-Carlo (optional, slower).
+* ``H_simulated`` -- Monte-Carlo (optional, slower; run as a
+  ``weak_scaling`` campaign).
 
 The ratio MTBF / W* is reported as the dimensionless regime indicator:
 first-order accuracy degrades as it approaches 1.
@@ -17,11 +18,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.campaign.executor import run_campaign
 from repro.core.builders import PatternKind
 from repro.core.exact import exact_overhead
 from repro.core.formulas import optimal_pattern
-from repro.errors.rng import SeedLike
-from repro.experiments.report import format_table
+from repro.experiments.fig7 import weak_scaling_spec
+from repro.io import format_table
 from repro.platforms.scaling import weak_scaling_platform
 
 
@@ -34,7 +36,7 @@ def accuracy_sweep(
     simulate: bool = False,
     n_patterns: int = 40,
     n_runs: int = 15,
-    seed: SeedLike = 20160612,
+    seed: int = 20160612,
 ) -> List[Dict[str, Any]]:
     """First-order vs exact (vs simulated) overheads across scales.
 
@@ -42,8 +44,21 @@ def accuracy_sweep(
     first-order error against the exact model, and the MTBF/W* regime
     indicator.
     """
+    simulated: List[Optional[float]] = [None] * len(node_counts)
+    if simulate:
+        spec = weak_scaling_spec(
+            node_counts,
+            C_D=C_D,
+            C_M=C_M,
+            kinds=(kind,),
+            n_patterns=n_patterns,
+            n_runs=n_runs,
+            seed=seed,
+        )
+        records = run_campaign(spec, n_workers=1).records
+        simulated = [rec["simulated"] for rec in records]
     rows: List[Dict[str, Any]] = []
-    for nodes in node_counts:
+    for nodes, H_simulated in zip(node_counts, simulated):
         plat = weak_scaling_platform(nodes, C_D=C_D, C_M=C_M)
         opt = optimal_pattern(kind, plat)
         guaranteed = kind in (PatternKind.PDV_STAR, PatternKind.PDMV_STAR)
@@ -59,16 +74,7 @@ def accuracy_sweep(
             "rel_error_fo_vs_exact": H_exact / opt.H_star - 1.0,
         }
         if simulate:
-            from repro.simulation.runner import simulate_optimal_pattern
-
-            res = simulate_optimal_pattern(
-                kind,
-                plat,
-                n_patterns=n_patterns,
-                n_runs=n_runs,
-                seed=seed,
-            )
-            row["H_simulated"] = res.simulated_overhead
+            row["H_simulated"] = H_simulated
         rows.append(row)
     return rows
 

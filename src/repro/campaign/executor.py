@@ -53,8 +53,7 @@ from repro.campaign.spec import (
     pattern_kind,
     platform_from_dict,
 )
-from repro.experiments.io import scan_jsonl
-from repro.simulation.parallel import available_cpus
+from repro.io import scan_jsonl
 
 #: Upper bound on points per submitted task (keeps journal streaming
 #: responsive: a chunk is the unit of loss on interruption).  Override
@@ -84,18 +83,34 @@ class CampaignConfigError(ValueError):
 PACKABLE_ENGINES = ("auto", "packed")
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: the default worker-pool size.
+
+    Honours ``taskset`` and cpusets through the scheduler affinity mask
+    where the platform has one; ``os.cpu_count()`` counts every CPU of
+    the machine.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
 def default_chunksize(
     n_points: int, n_workers: int, *, max_chunk: Optional[int] = None
 ) -> int:
-    """Points per task: the shared ~4-tasks-per-worker heuristic
-    (:func:`repro.simulation.parallel.default_chunksize`), capped at
-    ``max_chunk`` (default :data:`MAX_CHUNK`)."""
-    from repro.simulation.parallel import (
-        default_chunksize as shared_chunksize,
-    )
+    """Points per submitted task: ~4 tasks per worker, capped at
+    ``max_chunk`` (default :data:`MAX_CHUNK`).
 
-    cap = MAX_CHUNK if max_chunk is None else max_chunk
-    return shared_chunksize(n_points, n_workers, cap=cap)
+    Four tasks per worker keep the pool load-balanced while cutting the
+    per-task submission overhead of small points; the cap keeps journal
+    streaming responsive.
+    """
+    if n_points <= 0:
+        return 1
+    workers = max(1, n_workers)
+    size = max(1, -(-n_points // (workers * 4)))
+    return min(MAX_CHUNK if max_chunk is None else max_chunk, size)
 
 
 class _PointBuilds:
@@ -648,7 +663,7 @@ def run_campaign(
         Corrupt/truncated lines are skipped (and counted on the result).
     n_workers:
         Process count for the task pool; default
-        :func:`~repro.simulation.parallel.available_cpus`.
+        :func:`available_cpus`.
         ``1`` runs in-process (deterministic, no pool) but still journals
         task by task.
     chunksize:

@@ -30,12 +30,28 @@ from repro.campaign.spec import (
     platform_from_dict,
     platform_to_dict,
 )
-from repro.core.builders import PATTERN_ORDER
+from repro.core.builders import PATTERN_ORDER, PatternKind
 from repro.platforms.catalog import PLATFORMS, get_platform
 from repro.platforms.platform import Platform
 from repro.platforms.scaling import weak_scaling_platform
 
 ScenarioGenerator = Callable[[CampaignSpec], List[ScenarioPoint]]
+
+#: Default weak-scaling node counts (Figures 7/8): ``2^8 .. 2^16``, every
+#: other power.
+DEFAULT_NODE_COUNTS = tuple(2**k for k in range(8, 17, 2))
+
+#: Node count of the Figure-9 error-rate platform.
+FIG9_NODES = 100_000
+
+#: Default error-rate factors of the Figure-9 sweeps and grid.
+DEFAULT_FACTORS = (0.2, 0.6, 1.0, 1.4, 2.0)
+
+#: Default recall grid of the detector-sensitivity sweep.
+DEFAULT_RECALLS = (0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95, 1.0)
+
+#: Default verification-cost grid, as fractions of ``V*``.
+DEFAULT_COST_FRACTIONS = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 
 _REGISTRY: Dict[str, ScenarioGenerator] = {}
 
@@ -172,14 +188,11 @@ def error_rate_sweep(spec: CampaignSpec) -> List[ScenarioPoint]:
     """The Figure-9 shape: scale error rates on a weak-scaled platform.
 
     Params: ``vary`` (``"f"``, ``"s"`` or ``"grid"``; default ``"f"``),
-    ``factors`` (default ``(0.2, 0.6, 1.0, 1.4, 2.0)``), ``nodes``
-    (default 100,000), ``C_D``/``C_M`` (Hera defaults), ``kinds``
+    ``factors`` (default :data:`DEFAULT_FACTORS`), ``nodes`` (default
+    :data:`FIG9_NODES`), ``C_D``/``C_M`` (Hera defaults), ``kinds``
     (default ``("PDMV", "PD")``), or an explicit ``platform`` overriding
     the weak-scaled base.
     """
-    from repro.core.builders import PatternKind
-    from repro.experiments.fig9 import DEFAULT_FACTORS, FIG9_NODES
-
     vary = spec.params.get("vary", "f")
     if vary not in ("f", "s", "grid"):
         raise ValueError(f"vary must be 'f', 's' or 'grid', got {vary!r}")
@@ -242,13 +255,10 @@ def error_rate_sweep(spec: CampaignSpec) -> List[ScenarioPoint]:
 def weak_scaling(spec: CampaignSpec) -> List[ScenarioPoint]:
     """The Figure-7/8 shape: sweep the node count at fixed per-node MTBF.
 
-    Params: ``node_counts`` (default ``2^8 .. 2^16`` every other power),
+    Params: ``node_counts`` (default :data:`DEFAULT_NODE_COUNTS`),
     ``C_D`` (default 300; Figure 8 uses 90), ``C_M`` (default 15.4),
     ``kinds`` (default ``("PD", "PDMV")``).
     """
-    from repro.core.builders import PatternKind
-    from repro.experiments.fig7 import DEFAULT_NODE_COUNTS
-
     counts = tuple(spec.params.get("node_counts", DEFAULT_NODE_COUNTS))
     C_D = float(spec.params.get("C_D", 300.0))
     C_M = float(spec.params.get("C_M", 15.4))
@@ -272,12 +282,10 @@ def weak_scaling(spec: CampaignSpec) -> List[ScenarioPoint]:
 def recall_sweep(spec: CampaignSpec) -> List[ScenarioPoint]:
     """Model-level sensitivity to the partial-verification recall.
 
-    Params: ``platform`` (default ``"hera"``), ``recalls`` (default the
-    sensitivity module's grid), ``kind`` (default ``"PDMV"``).  Emits one
+    Params: ``platform`` (default ``"hera"``), ``recalls`` (default
+    :data:`DEFAULT_RECALLS`), ``kind`` (default ``"PDMV"``).  Emits one
     ``optimize`` point per recall plus the ``PDM`` and ``PDMV*`` anchors.
     """
-    from repro.experiments.sensitivity import DEFAULT_RECALLS
-
     pdict = resolve_platform_dict(spec.params.get("platform", "hera"))
     base = platform_from_dict(pdict)
     recalls = tuple(spec.params.get("recalls", DEFAULT_RECALLS))
@@ -380,9 +388,6 @@ def firstorder_vs_exact_divergence(spec: CampaignSpec) -> List[ScenarioPoint]:
     rates up a ladder, default :data:`DIVERGENCE_SCALES` -- the
     across-the-catalog map).  ``kinds`` defaults to ``("PD", "PDMV")``.
     """
-    from repro.core.builders import PatternKind
-    from repro.platforms.scaling import weak_scaling_platform
-
     kinds = _kind_values(spec.params, (PatternKind.PD, PatternKind.PDMV))
     engine = spec.engine if spec.engine != "auto" else "analytic"
     points: List[ScenarioPoint] = []
@@ -435,11 +440,9 @@ def verification_cost_sweep(spec: CampaignSpec) -> List[ScenarioPoint]:
     """Model-level sensitivity to the partial-verification cost.
 
     Params: ``platform`` (default ``"hera"``), ``cost_fractions``
-    (fractions of ``V*``; default the sensitivity module's grid),
+    (fractions of ``V*``; default :data:`DEFAULT_COST_FRACTIONS`),
     ``kind`` (default ``"PDMV"``).
     """
-    from repro.experiments.sensitivity import DEFAULT_COST_FRACTIONS
-
     pdict = resolve_platform_dict(spec.params.get("platform", "hera"))
     base = platform_from_dict(pdict)
     fractions = tuple(

@@ -1,8 +1,8 @@
 """Campaign reporting: journals and caches to tables, CSV and JSON.
 
-Bridges the campaign engine to the existing :mod:`repro.experiments`
-output stack: assembled records become ASCII tables via ``format_table``
-and persist through ``write_csv`` / ``write_json`` / ``write_jsonl``.
+Bridges the campaign engine to the :mod:`repro.io` output stack:
+assembled records become ASCII tables via ``format_table`` and persist
+through ``write_csv`` / ``write_json`` / ``write_jsonl``.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import CampaignResult
-from repro.experiments.io import read_jsonl, write_csv, write_json
-from repro.experiments.report import format_table
+from repro.io import format_table, read_jsonl, write_csv, write_json
 
 
 def union_columns(records: Sequence[Dict[str, Any]]) -> List[str]:
@@ -62,7 +61,7 @@ def write_campaign_outputs(
     json_path: Optional[str] = None,
     columns: Optional[Sequence[str]] = None,
 ) -> None:
-    """Persist assembled records through the experiments IO layer."""
+    """Persist assembled records through :mod:`repro.io`."""
     rows = rows_from_records(records, columns)
     if csv_path:
         cols = (

@@ -270,7 +270,7 @@ class CampaignSpec:
 
     def to_json_file(self, path: str) -> None:
         """Write the spec to a JSON file."""
-        from repro.experiments.io import write_json
+        from repro.io import write_json
 
         write_json(self.to_dict(), path)
 

@@ -58,8 +58,7 @@ from repro.experiments.fig9 import (
     run_error_rate_grid,
     run_error_rate_sweep,
 )
-from repro.experiments.io import write_csv, write_json
-from repro.experiments.report import format_table
+from repro.io import format_table, write_csv, write_json
 from repro.platforms.catalog import get_platform, platform_names
 
 

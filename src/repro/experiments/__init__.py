@@ -6,8 +6,14 @@ the CLI.  Default Monte-Carlo sizes are laptop-friendly; pass
 ``n_patterns=1000, n_runs=1000`` for paper-scale campaigns.
 """
 
-from repro.experiments.report import format_table, fmt
-from repro.experiments.io import read_jsonl, write_csv, write_json, write_jsonl
+from repro.io import (
+    fmt,
+    format_table,
+    read_jsonl,
+    write_csv,
+    write_json,
+    write_jsonl,
+)
 from repro.experiments.table1 import run_table1, render_table1
 from repro.experiments.table2 import run_table2, render_table2
 from repro.experiments.fig6 import run_fig6, render_fig6

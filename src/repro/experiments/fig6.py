@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.core.builders import PatternKind
-from repro.experiments.report import format_table
+from repro.io import format_table
 from repro.platforms.platform import Platform
 
 #: The legacy row schema, in presentation order.

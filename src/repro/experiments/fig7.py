@@ -10,70 +10,73 @@ The node count sweeps powers of two; per-node MTBFs stay fixed (Hera's
 * d -- ckpts/verifs per hour (``PDMV``);
 * e -- disk/memory ckpts per hour (both patterns);
 * f -- recoveries per day (``PDMV``).
+
+The figure runs on the :mod:`repro.campaign` engine (the
+``weak_scaling`` scenario), in process: Monte-Carlo points pack into
+mega-batches and analytic points batch per family into one platform
+grid.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.campaign.executor import run_campaign
+from repro.campaign.spec import CampaignSpec
 from repro.core.builders import PatternKind
-from repro.core.formulas import optimal_pattern
-from repro.errors.rng import SeedLike
-from repro.experiments.report import format_table
-from repro.platforms.scaling import weak_scaling_platform
-from repro.simulation.runner import simulate_optimal_pattern
+from repro.io import format_table
 
 #: Node counts of the paper's sweep (2^8 .. 2^18).
 PAPER_NODE_COUNTS = tuple(2**k for k in range(8, 19))
 
-#: Reduced default sweep keeping CI runtimes sane (2^8 .. 2^16).
-DEFAULT_NODE_COUNTS = tuple(2**k for k in range(8, 17, 2))
+_MODEL_COLUMNS = (
+    "nodes", "pattern", "predicted", "simulated", "W*_hours", "n*", "m*",
+)
+
+#: Row schema of the Monte-Carlo tiers, in presentation order.
+WEAK_SCALING_COLUMNS = _MODEL_COLUMNS + (
+    "disk_ckpts_per_hour",
+    "mem_ckpts_per_hour",
+    "verifs_per_hour",
+    "disk_rec_per_pattern",
+    "mem_rec_per_pattern",
+    "disk_recoveries_per_day",
+    "mem_recoveries_per_day",
+)
+
+#: Row schema of the analytic tier: no sampled operation frequencies,
+#: plus the first-order-vs-exact divergence of panel 7a.
+ANALYTIC_COLUMNS = _MODEL_COLUMNS + ("divergence", "H_numeric", "engine")
 
 
-def _run_weak_scaling_analytic(
-    counts: Sequence[int],
+def weak_scaling_spec(
+    node_counts: Optional[Sequence[int]] = None,
     *,
-    C_D: float,
-    C_M: float,
-    kinds: Iterable[PatternKind],
-) -> List[Dict[str, Any]]:
-    """The analytic-tier weak-scaling rows: one batch call per family.
-
-    The whole node sweep becomes a single
-    :class:`~repro.core.batch.PlatformGrid`, so the optimiser-in-the-loop
-    evaluation (shape refinement, first-order and exact overheads per
-    node count) is a handful of vectorised passes instead of per-cell
-    scipy runs.  ``simulated`` is the exact-model overhead; the 7a
-    divergence panel is ``simulated - predicted`` exactly as on the
-    Monte-Carlo path.
-    """
-    from repro.core.batch import PlatformGrid, analytic_records
-
-    plats = [
-        weak_scaling_platform(int(nodes), C_D=C_D, C_M=C_M)
-        for nodes in counts
-    ]
-    grid = PlatformGrid.from_platforms(plats)
-    per_kind = {kind: analytic_records(kind, grid) for kind in kinds}
-    rows: List[Dict[str, Any]] = []
-    for i, nodes in enumerate(counts):
-        for kind in kinds:
-            rec = per_kind[kind][i]
-            rows.append(
-                {
-                    "nodes": int(nodes),
-                    "pattern": kind.value,
-                    "predicted": rec["predicted"],
-                    "simulated": rec["simulated"],
-                    "W*_hours": rec["W*_hours"],
-                    "n*": rec["n*"],
-                    "m*": rec["m*"],
-                    "divergence": rec["divergence"],
-                    "H_numeric": rec["H_numeric"],
-                    "engine": "analytic",
-                }
-            )
-    return rows
+    C_D: float = 300.0,
+    C_M: float = 15.4,
+    kinds: Iterable[PatternKind] = (PatternKind.PD, PatternKind.PDMV),
+    n_patterns: int = 50,
+    n_runs: int = 20,
+    seed: int = 20160607,
+    engine: str = "auto",
+) -> CampaignSpec:
+    """The weak-scaling campaign spec (``weak_scaling`` scenario)."""
+    params: Dict[str, Any] = {
+        "C_D": C_D,
+        "C_M": C_M,
+        "kinds": [k.value for k in kinds],
+    }
+    if node_counts is not None:
+        params["node_counts"] = [int(n) for n in node_counts]
+    return CampaignSpec(
+        name="weak_scaling",
+        scenario="weak_scaling",
+        params=params,
+        n_patterns=n_patterns,
+        n_runs=n_runs,
+        seed=seed,
+        engine=engine,
+    )
 
 
 def run_weak_scaling(
@@ -84,7 +87,7 @@ def run_weak_scaling(
     kinds: Iterable[PatternKind] = (PatternKind.PD, PatternKind.PDMV),
     n_patterns: int = 50,
     n_runs: int = 20,
-    seed: SeedLike = 20160607,
+    seed: int = 20160607,
     engine: str = "auto",
 ) -> List[Dict[str, Any]]:
     """Run the weak-scaling campaign (Figure 7 with defaults; Figure 8
@@ -93,44 +96,21 @@ def run_weak_scaling(
     ``"analytic"`` replaces the Monte-Carlo with the vectorised exact
     model (no sampled operation-frequency columns, adds the
     first-order-vs-exact ``divergence``)."""
-    counts = tuple(node_counts) if node_counts is not None else DEFAULT_NODE_COUNTS
-    if engine == "analytic":
-        return _run_weak_scaling_analytic(
-            counts, C_D=C_D, C_M=C_M, kinds=tuple(kinds)
-        )
-    rows: List[Dict[str, Any]] = []
-    for nodes in counts:
-        plat = weak_scaling_platform(nodes, C_D=C_D, C_M=C_M)
-        for kind in kinds:
-            opt = optimal_pattern(kind, plat)
-            res = simulate_optimal_pattern(
-                kind,
-                plat,
-                n_patterns=n_patterns,
-                n_runs=n_runs,
-                seed=seed,
-                engine=engine,
-            )
-            agg = res.aggregated
-            rows.append(
-                {
-                    "nodes": nodes,
-                    "pattern": kind.value,
-                    "predicted": opt.H_star,
-                    "simulated": agg.mean_overhead,
-                    "W*_hours": opt.W_star / 3600.0,
-                    "n*": opt.n,
-                    "m*": opt.m,
-                    "disk_ckpts_per_hour": agg.rates_per_hour["disk_checkpoints"],
-                    "mem_ckpts_per_hour": agg.rates_per_hour["memory_checkpoints"],
-                    "verifs_per_hour": agg.rates_per_hour["verifications"],
-                    "disk_rec_per_pattern": agg.per_pattern["disk_recoveries"],
-                    "mem_rec_per_pattern": agg.per_pattern["memory_recoveries"],
-                    "disk_recoveries_per_day": agg.rates_per_day["disk_recoveries"],
-                    "mem_recoveries_per_day": agg.rates_per_day["memory_recoveries"],
-                }
-            )
-    return rows
+    spec = weak_scaling_spec(
+        node_counts,
+        C_D=C_D,
+        C_M=C_M,
+        kinds=kinds,
+        n_patterns=n_patterns,
+        n_runs=n_runs,
+        seed=seed,
+        engine=engine,
+    )
+    columns = (
+        ANALYTIC_COLUMNS if engine == "analytic" else WEAK_SCALING_COLUMNS
+    )
+    records = run_campaign(spec, n_workers=1).records
+    return [{c: rec[c] for c in columns} for rec in records]
 
 
 def render_weak_scaling(rows: List[Dict[str, Any]], *, C_D: float = 300.0) -> str:

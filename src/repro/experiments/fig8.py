@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors.rng import SeedLike
 from repro.experiments.fig7 import render_weak_scaling, run_weak_scaling
 
 #: The reduced disk checkpoint cost of Figure 8.
@@ -23,7 +22,7 @@ def run_fig8(
     *,
     n_patterns: int = 50,
     n_runs: int = 20,
-    seed: SeedLike = 20160608,
+    seed: int = 20160608,
     engine: str = "auto",
 ) -> List[Dict[str, Any]]:
     """Run the Figure-8 campaign (weak scaling, ``C_D = 90``)."""

@@ -8,29 +8,43 @@ multiply ``lambda_f`` and ``lambda_s`` by factors in ``[0.2, 2.0]``:
 * 9d-g -- ``lambda_f`` sweep at nominal ``lambda_s``: period, verifs and
   ckpts per hour, recoveries per day;
 * 9h-k -- ``lambda_s`` sweep at nominal ``lambda_f``: same series.
+
+Both shapes run on the :mod:`repro.campaign` engine (the
+``error_rate_sweep`` scenario), in process.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.campaign.executor import run_campaign
+from repro.campaign.registry import FIG9_NODES
+from repro.campaign.spec import CampaignSpec
 from repro.core.builders import PatternKind
-from repro.core.formulas import optimal_pattern
-from repro.errors.rng import SeedLike
-from repro.experiments.report import format_table
+from repro.io import format_table
 from repro.platforms.platform import Platform
 from repro.platforms.scaling import weak_scaling_platform
-
-#: Node count of the Figure-9 experiments.
-FIG9_NODES = 100_000
 
 #: The paper's factor range.
 PAPER_FACTORS = tuple(np.round(np.arange(0.2, 2.01, 0.2), 2).tolist())
 
-#: Reduced default grid for CI runtimes.
-DEFAULT_FACTORS = (0.2, 0.6, 1.0, 1.4, 2.0)
+#: Row schema of the 1-D sweeps, in presentation order (``W*_minutes``
+#: is derived from the record's ``W_star``).
+SWEEP_COLUMNS = (
+    "vary",
+    "factor",
+    "pattern",
+    "predicted",
+    "simulated",
+    "W*_minutes",
+    "disk_ckpts_per_hour",
+    "mem_ckpts_per_hour",
+    "verifs_per_hour",
+    "disk_recoveries_per_day",
+    "mem_recoveries_per_day",
+)
 
 
 def fig9_platform() -> Platform:
@@ -38,19 +52,30 @@ def fig9_platform() -> Platform:
     return weak_scaling_platform(FIG9_NODES, C_D=300.0, C_M=15.4)
 
 
-def _simulate(
-    kind: PatternKind,
-    plat: Platform,
-    n_patterns: int,
-    n_runs: int,
-    seed: SeedLike,
-    engine: str = "auto",
-):
-    from repro.simulation.runner import simulate_optimal_pattern
-
-    return simulate_optimal_pattern(
-        kind, plat, n_patterns=n_patterns, n_runs=n_runs, seed=seed,
-        engine=engine,
+def error_rate_spec(
+    vary: str,
+    factors: Optional[Sequence[float]] = None,
+    *,
+    kinds: Iterable[PatternKind] = (PatternKind.PDMV, PatternKind.PD),
+    n_patterns: int = 20,
+    n_runs: int = 10,
+    seed: int = 20160610,
+) -> CampaignSpec:
+    """The Figure-9 campaign spec (``error_rate_sweep`` scenario);
+    ``vary`` is ``"f"``, ``"s"`` or ``"grid"``."""
+    params: Dict[str, Any] = {
+        "vary": vary,
+        "kinds": [k.value for k in kinds],
+    }
+    if factors is not None:
+        params["factors"] = list(factors)
+    return CampaignSpec(
+        name="fig9",
+        scenario="error_rate_sweep",
+        params=params,
+        n_patterns=n_patterns,
+        n_runs=n_runs,
+        seed=seed,
     )
 
 
@@ -60,31 +85,39 @@ def run_error_rate_grid(
     kinds: Iterable[PatternKind] = (PatternKind.PDMV, PatternKind.PD),
     n_patterns: int = 20,
     n_runs: int = 10,
-    seed: SeedLike = 20160609,
+    seed: int = 20160609,
 ) -> List[Dict[str, Any]]:
     """The 9a-c overhead surfaces: one row per (factor_f, factor_s).
 
     Each row carries the simulated overhead of every requested pattern
-    plus the difference (first minus second when two kinds are given --
-    matching the paper's ``PD - PDMV`` "savings" panel when called with
-    the default order ``(PDMV, PD)`` the difference is ``PD - PDMV``).
+    plus, when two kinds are given, their ``difference`` (second minus
+    first: ``PD - PDMV``, the paper's "savings" panel, for the default
+    order ``(PDMV, PD)``).
     """
-    fs = tuple(factors) if factors is not None else DEFAULT_FACTORS
-    base = fig9_platform()
     kinds = tuple(kinds)
+    spec = error_rate_spec(
+        "grid",
+        factors,
+        kinds=kinds,
+        n_patterns=n_patterns,
+        n_runs=n_runs,
+        seed=seed,
+    )
+    records = run_campaign(spec, n_workers=1).records
+    # The scenario emits the kinds innermost: one cell per len(kinds)
+    # consecutive records.
     rows: List[Dict[str, Any]] = []
-    for ff in fs:
-        for fsil in fs:
-            plat = base.scaled_rates(factor_f=ff, factor_s=fsil)
-            row: Dict[str, Any] = {"factor_f": ff, "factor_s": fsil}
-            sims: List[float] = []
-            for kind in kinds:
-                res = _simulate(kind, plat, n_patterns, n_runs, seed)
-                row[f"simulated_{kind.value}"] = res.simulated_overhead
-                sims.append(res.simulated_overhead)
-            if len(sims) == 2:
-                row["difference"] = sims[1] - sims[0]
-            rows.append(row)
+    for i in range(0, len(records), len(kinds)):
+        cell = records[i : i + len(kinds)]
+        row: Dict[str, Any] = {
+            "factor_f": cell[0]["factor_f"],
+            "factor_s": cell[0]["factor_s"],
+        }
+        for rec in cell:
+            row[f"simulated_{rec['pattern']}"] = rec["simulated"]
+        if len(cell) == 2:
+            row["difference"] = cell[1]["simulated"] - cell[0]["simulated"]
+        rows.append(row)
     return rows
 
 
@@ -95,7 +128,7 @@ def run_error_rate_sweep(
     kinds: Iterable[PatternKind] = (PatternKind.PDMV, PatternKind.PD),
     n_patterns: int = 20,
     n_runs: int = 10,
-    seed: SeedLike = 20160610,
+    seed: int = 20160610,
 ) -> List[Dict[str, Any]]:
     """The 1-D sweeps (9d-g for ``vary='f'``, 9h-k for ``vary='s'``).
 
@@ -104,35 +137,18 @@ def run_error_rate_sweep(
     """
     if vary not in ("f", "s"):
         raise ValueError(f"vary must be 'f' or 's', got {vary!r}")
-    fs = tuple(factors) if factors is not None else DEFAULT_FACTORS
-    base = fig9_platform()
-    rows: List[Dict[str, Any]] = []
-    for factor in fs:
-        plat = (
-            base.scaled_rates(factor_f=factor)
-            if vary == "f"
-            else base.scaled_rates(factor_s=factor)
-        )
-        for kind in kinds:
-            opt = optimal_pattern(kind, plat)
-            res = _simulate(kind, plat, n_patterns, n_runs, seed)
-            agg = res.aggregated
-            rows.append(
-                {
-                    "vary": f"lambda_{vary}",
-                    "factor": factor,
-                    "pattern": kind.value,
-                    "predicted": opt.H_star,
-                    "simulated": agg.mean_overhead,
-                    "W*_minutes": opt.W_star / 60.0,
-                    "disk_ckpts_per_hour": agg.rates_per_hour["disk_checkpoints"],
-                    "mem_ckpts_per_hour": agg.rates_per_hour["memory_checkpoints"],
-                    "verifs_per_hour": agg.rates_per_hour["verifications"],
-                    "disk_recoveries_per_day": agg.rates_per_day["disk_recoveries"],
-                    "mem_recoveries_per_day": agg.rates_per_day["memory_recoveries"],
-                }
-            )
-    return rows
+    spec = error_rate_spec(
+        vary,
+        factors,
+        kinds=kinds,
+        n_patterns=n_patterns,
+        n_runs=n_runs,
+        seed=seed,
+    )
+    records = run_campaign(spec, n_workers=1).records
+    for rec in records:
+        rec["W*_minutes"] = rec["W_star"] / 60.0
+    return [{c: rec[c] for c in SWEEP_COLUMNS} for rec in records]
 
 
 def render_error_rate_sweep(rows: List[Dict[str, Any]]) -> str:

@@ -17,15 +17,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.campaign.registry import DEFAULT_COST_FRACTIONS, DEFAULT_RECALLS
 from repro.core.builders import PatternKind
-from repro.experiments.report import format_table
+from repro.io import format_table
 from repro.platforms.platform import Platform
-
-#: Default recall grid.
-DEFAULT_RECALLS = (0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.95, 1.0)
-
-#: Default cost grid, as fractions of the guaranteed-verification cost.
-DEFAULT_COST_FRACTIONS = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 
 
 def _sweep_campaign(

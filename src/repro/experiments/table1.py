@@ -20,7 +20,7 @@ from repro.core.builders import PATTERN_ORDER, PatternKind
 from repro.core.exact import exact_overhead
 from repro.core.formulas import continuous_overhead, optimal_pattern
 from repro.core.optimizer import numeric_optimal_pattern
-from repro.experiments.report import format_table
+from repro.io import format_table
 from repro.platforms.platform import Platform
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.experiments.report import format_table
+from repro.io import format_table
 from repro.platforms.catalog import PLATFORMS
 
 

@@ -1,9 +1,15 @@
-"""Result writers: CSV, JSON and append-friendly JSONL."""
+"""Row output: CSV, JSON and append-friendly JSONL files, and ASCII
+tables.
+
+Rows are lists of flat dicts -- experiment rows, campaign records,
+journal lines, load-generator traces.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -109,3 +115,70 @@ def _coerce(obj: Any) -> Any:
     if hasattr(obj, "item"):
         return obj.item()
     return str(obj)
+
+
+def fmt(value: Any, precision: int = 4) -> str:
+    """Format one cell: floats to fixed precision, ints plain, None as '-'."""
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "nan"
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if value != 0 and (abs(value) >= 1e5 or abs(value) < 10 ** (-precision)):
+            return f"{value:.{precision}g}"
+        return f"{value:.{precision}f}"
+    return str(value)
+
+
+def format_table(
+    rows: Sequence[Dict[str, Any]],
+    columns: Optional[Sequence[str]] = None,
+    *,
+    precision: int = 4,
+    title: Optional[str] = None,
+) -> str:
+    """Render rows of dicts as a fixed-width ASCII table.
+
+    Parameters
+    ----------
+    rows:
+        The data; missing keys render as '-'.
+    columns:
+        Column order; defaults to the keys of the first row.
+    precision:
+        Float precision.
+    title:
+        Optional heading line.
+    """
+    if not rows:
+        return (title + "\n" if title else "") + "(no rows)"
+    cols = list(columns) if columns is not None else list(rows[0].keys())
+    cells = [[fmt(row.get(c), precision) for c in cols] for row in rows]
+    widths = [
+        max(len(c), *(len(line[i]) for line in cells)) for i, c in enumerate(cols)
+    ]
+    sep = "  "
+    header = sep.join(c.ljust(w) for c, w in zip(cols, widths))
+    rule = sep.join("-" * w for w in widths)
+    body = "\n".join(
+        sep.join(v.rjust(w) if _num_like(v) else v.ljust(w) for v, w in zip(line, widths))
+        for line in cells
+    )
+    parts = []
+    if title:
+        parts.append(title)
+    parts.extend([header, rule, body])
+    return "\n".join(parts)
+
+
+def _num_like(s: str) -> bool:
+    """True when a rendered cell looks numeric (right-align it)."""
+    try:
+        float(s)
+        return True
+    except ValueError:
+        return s in ("inf", "-inf", "nan", "-")

@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.io import read_jsonl, write_jsonl
+from repro.io import read_jsonl, write_jsonl
 
 #: Built-in arrival shapes, in the order the benchmarks sweep them.
 TRACE_SHAPES = ("constant", "poisson", "bursty")

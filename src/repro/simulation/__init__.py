@@ -29,7 +29,6 @@ from repro.simulation.runner import (
     simulate_optimal_pattern,
     simulate_pattern_overhead,
 )
-from repro.simulation.parallel import run_monte_carlo_parallel
 from repro.simulation.fast_pd import (
     PdBatchResult,
     pd_overhead_batch,
@@ -61,7 +60,6 @@ __all__ = [
     "run_monte_carlo",
     "simulate_optimal_pattern",
     "simulate_pattern_overhead",
-    "run_monte_carlo_parallel",
     "PdBatchResult",
     "simulate_pd_batch",
     "pd_overhead_batch",

@@ -8,6 +8,7 @@ import pytest
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import (
+    available_cpus,
     default_chunksize,
     evaluate_point,
     run_campaign,
@@ -18,7 +19,9 @@ from repro.core.builders import PatternKind
 from repro.simulation.runner import simulate_optimal_pattern
 
 
-def _points(tiny_platform, kinds=("PD", "PDM", "PDMV"), seed=13):
+def _points(
+    tiny_platform, kinds=("PD", "PDM", "PDMV"), seed=13, engine="auto"
+):
     pdict = platform_to_dict(tiny_platform)
     return [
         ScenarioPoint(
@@ -28,6 +31,7 @@ def _points(tiny_platform, kinds=("PD", "PDM", "PDMV"), seed=13):
             n_patterns=3,
             n_runs=3,
             seed=seed,
+            engine=engine,
             labels={"pattern": kind},
         )
         for kind in kinds
@@ -37,6 +41,7 @@ def _points(tiny_platform, kinds=("PD", "PDM", "PDMV"), seed=13):
 class TestChunksize:
     def test_small_campaign_full_parallelism(self):
         assert default_chunksize(4, 8) == 1
+        assert default_chunksize(8, 8) == 1
 
     def test_large_campaign_batches(self):
         assert default_chunksize(1000, 4) == 63
@@ -282,16 +287,76 @@ class TestValidation:
         assert record["H*"] > 0 and record["n*"] >= 1
 
 
+class TestStepEnginePool:
+    """Step-tier points never pack: they reach the process pool as
+    per-point chunks, and their records must not depend on the worker
+    count or the chunking."""
+
+    def _step_points(self, tiny_platform):
+        return [
+            point
+            for seed in (7, 8, 9)
+            for point in _points(tiny_platform, seed=seed, engine="step")
+        ]
+
+    def test_multi_worker_matches_sequential(self, tiny_platform):
+        points = self._step_points(tiny_platform)
+        seq = run_campaign(points, n_workers=1)
+        par = run_campaign(points, n_workers=2)
+        assert {r["engine"] for r in par.records} == {"step"}
+        assert par.n_packed == 0
+        assert par.records == seq.records
+
+    def test_chunksize_one_matches_heuristic(self, tiny_platform):
+        points = self._step_points(tiny_platform)
+        assert default_chunksize(len(points), 2) > 1
+        one = run_campaign(points, n_workers=2, chunksize=1)
+        heuristic = run_campaign(points, n_workers=2)
+        assert one.records == heuristic.records
+
+
 class TestDefaultWorkers:
-    def test_pinned_process_evaluates_in_process(
-        self, tiny_platform, monkeypatch
-    ):
-        """The default pool size follows the affinity mask, not the
-        machine's CPU count: pinned to one CPU, no pool is forked."""
+    @pytest.fixture
+    def one_cpu(self, monkeypatch):
+        """A process pinned to one CPU of an eight-CPU machine."""
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: {0}, raising=False
         )
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def test_available_cpus_follows_affinity_mask(self, one_cpu):
+        assert available_cpus() == 1
+
+    def test_available_cpus_without_affinity_api(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert available_cpus() == 3
+
+    def test_worker_count_capped_at_points(self, tiny_platform, monkeypatch):
+        """Explicit workers beyond the outstanding points fork one
+        process per point, no more."""
+        import repro.campaign.executor as executor_mod
+
+        sizes = []
+        real_pool = executor_mod.ProcessPoolExecutor
+
+        def spy_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(
+            "repro.campaign.executor.ProcessPoolExecutor", spy_pool
+        )
+        points = _points(tiny_platform)
+        result = run_campaign(points, n_workers=64)
+        assert sizes == [len(points)]
+        assert result.records == run_campaign(points, n_workers=1).records
+
+    def test_pinned_process_evaluates_in_process(
+        self, one_cpu, tiny_platform, monkeypatch
+    ):
+        """The default pool size follows the affinity mask, not the
+        machine's CPU count: pinned to one CPU, no pool is forked."""
 
         def no_pool(*args, **kwargs):
             raise AssertionError("forked a worker pool on one CPU")

@@ -199,20 +199,6 @@ class TestRunnerIntegration:
         )
         assert res.engine == "step"
 
-    def test_parallel_matches_sequential_on_fast_tier(self, tiny_platform):
-        from repro.simulation.parallel import run_monte_carlo_parallel
-        from repro.simulation.runner import run_monte_carlo
-
-        seq = run_monte_carlo(
-            PDMV, tiny_platform, n_patterns=3, n_runs=4, seed=9
-        )
-        par = run_monte_carlo_parallel(
-            PDMV, tiny_platform, n_patterns=3, n_runs=4, seed=9,
-            n_workers=4,
-        )
-        assert par.engine == seq.engine == "fast"
-        assert par.simulated_overhead == seq.simulated_overhead
-
     def test_engines_agree_statistically(self, tiny_platform):
         """The same configuration lands near the same overhead on every
         tier (coarse agreement; the hypothesis harness is sharper)."""

@@ -30,7 +30,7 @@ from repro.campaign.executor import (
     run_campaign,
 )
 from repro.campaign.spec import ScenarioPoint, platform_to_dict
-from repro.experiments.io import scan_jsonl
+from repro.io import scan_jsonl
 from repro.platforms.catalog import hera
 from repro.platforms.platform import Platform, default_costs
 

@@ -7,8 +7,7 @@ import os
 
 import pytest
 
-from repro.experiments.io import write_csv, write_json
-from repro.experiments.report import fmt, format_table
+from repro.io import fmt, format_table, write_csv, write_json
 
 
 class TestFmt:
@@ -117,7 +116,7 @@ class TestWriters:
 
 class TestJsonl:
     def test_write_read_round_trip(self, tmp_path):
-        from repro.experiments.io import read_jsonl, write_jsonl
+        from repro.io import read_jsonl, write_jsonl
 
         path = str(tmp_path / "out" / "j.jsonl")
         n = write_jsonl([{"a": 1}, {"b": 2.5}], path)
@@ -125,7 +124,7 @@ class TestJsonl:
         assert read_jsonl(path) == [{"a": 1}, {"b": 2.5}]
 
     def test_append_mode_is_default(self, tmp_path):
-        from repro.experiments.io import read_jsonl, write_jsonl
+        from repro.io import read_jsonl, write_jsonl
 
         path = str(tmp_path / "j.jsonl")
         write_jsonl([{"a": 1}], path)
@@ -133,7 +132,7 @@ class TestJsonl:
         assert read_jsonl(path) == [{"a": 1}, {"a": 2}]
 
     def test_overwrite_mode(self, tmp_path):
-        from repro.experiments.io import read_jsonl, write_jsonl
+        from repro.io import read_jsonl, write_jsonl
 
         path = str(tmp_path / "j.jsonl")
         write_jsonl([{"a": 1}], path)
@@ -141,7 +140,7 @@ class TestJsonl:
         assert read_jsonl(path) == [{"a": 2}]
 
     def test_truncated_final_line_skipped(self, tmp_path):
-        from repro.experiments.io import read_jsonl, write_jsonl
+        from repro.io import read_jsonl, write_jsonl
 
         path = str(tmp_path / "j.jsonl")
         write_jsonl([{"a": 1}, {"a": 2}], path)
@@ -150,7 +149,7 @@ class TestJsonl:
         assert read_jsonl(path) == [{"a": 1}, {"a": 2}]
 
     def test_blank_lines_skipped(self, tmp_path):
-        from repro.experiments.io import read_jsonl
+        from repro.io import read_jsonl
 
         path = str(tmp_path / "j.jsonl")
         with open(path, "w") as fh:
@@ -160,7 +159,7 @@ class TestJsonl:
     def test_numpy_coercion(self, tmp_path):
         import numpy as np
 
-        from repro.experiments.io import read_jsonl, write_jsonl
+        from repro.io import read_jsonl, write_jsonl
 
         path = str(tmp_path / "j.jsonl")
         write_jsonl([{"x": np.float64(0.5)}], path)
