@@ -16,7 +16,7 @@ first-order accuracy degrades as it approaches 1.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.campaign.executor import run_campaign
 from repro.core.builders import PatternKind
@@ -44,21 +44,8 @@ def accuracy_sweep(
     first-order error against the exact model, and the MTBF/W* regime
     indicator.
     """
-    simulated: List[Optional[float]] = [None] * len(node_counts)
-    if simulate:
-        spec = weak_scaling_spec(
-            node_counts,
-            C_D=C_D,
-            C_M=C_M,
-            kinds=(kind,),
-            n_patterns=n_patterns,
-            n_runs=n_runs,
-            seed=seed,
-        )
-        records = run_campaign(spec, n_workers=1).records
-        simulated = [rec["simulated"] for rec in records]
     rows: List[Dict[str, Any]] = []
-    for nodes, H_simulated in zip(node_counts, simulated):
+    for nodes in node_counts:
         plat = weak_scaling_platform(nodes, C_D=C_D, C_M=C_M)
         opt = optimal_pattern(kind, plat)
         guaranteed = kind in (PatternKind.PDV_STAR, PatternKind.PDMV_STAR)
@@ -73,9 +60,19 @@ def accuracy_sweep(
             "H_exact": H_exact,
             "rel_error_fo_vs_exact": H_exact / opt.H_star - 1.0,
         }
-        if simulate:
-            row["H_simulated"] = H_simulated
         rows.append(row)
+    if simulate:
+        spec = weak_scaling_spec(
+            node_counts,
+            C_D=C_D,
+            C_M=C_M,
+            kinds=(kind,),
+            n_patterns=n_patterns,
+            n_runs=n_runs,
+            seed=seed,
+        )
+        for row, rec in zip(rows, run_campaign(spec, n_workers=1).records):
+            row["H_simulated"] = rec["simulated"]
     return rows
 
 
