@@ -19,9 +19,7 @@ from repro.core.builders import PatternKind
 from repro.simulation.runner import simulate_optimal_pattern
 
 
-def _points(
-    tiny_platform, kinds=("PD", "PDM", "PDMV"), seed=13, engine="auto"
-):
+def _points(tiny_platform, kinds=("PD", "PDM", "PDMV"), seed=13):
     pdict = platform_to_dict(tiny_platform)
     return [
         ScenarioPoint(
@@ -31,7 +29,6 @@ def _points(
             n_patterns=3,
             n_runs=3,
             seed=seed,
-            engine=engine,
             labels={"pattern": kind},
         )
         for kind in kinds
@@ -41,7 +38,6 @@ def _points(
 class TestChunksize:
     def test_small_campaign_full_parallelism(self):
         assert default_chunksize(4, 8) == 1
-        assert default_chunksize(8, 8) == 1
 
     def test_large_campaign_batches(self):
         assert default_chunksize(1000, 4) == 63
@@ -285,34 +281,6 @@ class TestValidation:
         assert record["mode"] == "optimize"
         assert "simulated" not in record
         assert record["H*"] > 0 and record["n*"] >= 1
-
-
-class TestStepEnginePool:
-    """Step-tier points never pack: they reach the process pool as
-    per-point chunks, and their records must not depend on the worker
-    count or the chunking."""
-
-    def _step_points(self, tiny_platform):
-        return [
-            point
-            for seed in (7, 8, 9)
-            for point in _points(tiny_platform, seed=seed, engine="step")
-        ]
-
-    def test_multi_worker_matches_sequential(self, tiny_platform):
-        points = self._step_points(tiny_platform)
-        seq = run_campaign(points, n_workers=1)
-        par = run_campaign(points, n_workers=2)
-        assert {r["engine"] for r in par.records} == {"step"}
-        assert par.n_packed == 0
-        assert par.records == seq.records
-
-    def test_chunksize_one_matches_heuristic(self, tiny_platform):
-        points = self._step_points(tiny_platform)
-        assert default_chunksize(len(points), 2) > 1
-        one = run_campaign(points, n_workers=2, chunksize=1)
-        heuristic = run_campaign(points, n_workers=2)
-        assert one.records == heuristic.records
 
 
 class TestDefaultWorkers:

@@ -199,6 +199,32 @@ class TestRunnerIntegration:
         )
         assert res.engine == "step"
 
+    def test_parallel_matches_sequential_on_fast_tier(self, tiny_platform):
+        from repro.campaign.executor import run_campaign
+        from repro.campaign.spec import ScenarioPoint, platform_to_dict
+        from repro.simulation.runner import simulate_optimal_pattern
+
+        points = [
+            ScenarioPoint(
+                mode="simulate",
+                kind="PDMV",
+                platform=platform_to_dict(tiny_platform),
+                n_patterns=3,
+                n_runs=4,
+                seed=seed,
+                engine="fast",
+            )
+            for seed in (9, 10, 11, 12)
+        ]
+        par = run_campaign(points, n_workers=4)
+        for point, record in zip(points, par.records):
+            seq = simulate_optimal_pattern(
+                PatternKind.PDMV, tiny_platform, n_patterns=3, n_runs=4,
+                seed=point.seed,
+            )
+            assert record["engine"] == seq.engine == "fast"
+            assert record["simulated"] == seq.simulated_overhead
+
     def test_engines_agree_statistically(self, tiny_platform):
         """The same configuration lands near the same overhead on every
         tier (coarse agreement; the hypothesis harness is sharper)."""

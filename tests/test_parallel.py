@@ -1,172 +1,134 @@
-"""Unit tests for the process-parallel Monte-Carlo runner."""
+"""Process-parallel Monte-Carlo through the campaign pool.
+
+A point's records must not depend on where it ran: in-process, on any
+number of pool workers, or in chunks of any size.  Each test compares
+pool output against the direct in-process Monte-Carlo call with the
+same seed.
+"""
 
 import os
 
 import pytest
 
-from repro.core.builders import PatternKind, pattern_pd
-from repro.core.formulas import optimal_pattern
-from repro.simulation.parallel import (
-    available_cpus,
-    run_monte_carlo_parallel,
-)
-from repro.simulation.runner import run_monte_carlo
+from repro.campaign.executor import default_chunksize, run_campaign
+from repro.campaign.spec import ScenarioPoint, platform_to_dict
+from repro.simulation.runner import simulate_optimal_pattern
+
+
+def _points(tiny_platform, seeds, *, kind="PD", engine="auto", **sizes):
+    pdict = platform_to_dict(tiny_platform)
+    return [
+        ScenarioPoint(
+            mode="simulate",
+            kind=kind,
+            platform=pdict,
+            n_patterns=sizes.get("n_patterns", 4),
+            n_runs=sizes.get("n_runs", 6),
+            seed=seed,
+            engine=engine,
+        )
+        for seed in seeds
+    ]
+
+
+def _direct(point, tiny_platform):
+    """The same point, simulated in-process without the campaign layer."""
+    return simulate_optimal_pattern(
+        point.build_kind(),
+        tiny_platform,
+        n_patterns=point.n_patterns,
+        n_runs=point.n_runs,
+        seed=point.seed,
+        engine=point.engine,
+    )
+
+
+def _assert_matches_direct(records, points, tiny_platform):
+    for point, record in zip(points, records):
+        direct = _direct(point, tiny_platform)
+        assert record["engine"] == direct.engine
+        assert record["simulated"] == direct.aggregated.mean_overhead
+        assert (
+            record["disk_ckpts_per_hour"]
+            == direct.aggregated.rates_per_hour["disk_checkpoints"]
+        )
 
 
 class TestParallelRunner:
     def test_single_worker_matches_sequential(self, tiny_platform):
         """Same root seed => identical aggregated results."""
-        pat = optimal_pattern(PatternKind.PD, tiny_platform).pattern
-        seq = run_monte_carlo(
-            pat, tiny_platform, n_patterns=5, n_runs=8, seed=42
-        )
-        par = run_monte_carlo_parallel(
-            pat, tiny_platform, n_patterns=5, n_runs=8, seed=42, n_workers=1
-        )
-        assert par.simulated_overhead == pytest.approx(
-            seq.simulated_overhead, rel=1e-12
-        )
-        assert (
-            par.aggregated.mean_counters["disk_checkpoints"]
-            == seq.aggregated.mean_counters["disk_checkpoints"]
-        )
+        points = _points(tiny_platform, (42,), n_patterns=5, n_runs=8)
+        result = run_campaign(points, n_workers=1)
+        _assert_matches_direct(result.records, points, tiny_platform)
 
     def test_multi_worker_matches_sequential(self, tiny_platform):
-        """Parallel fan-out preserves the per-run seed mapping."""
-        pat = pattern_pd(400.0)
-        seq = run_monte_carlo(
-            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7
-        )
-        par = run_monte_carlo_parallel(
-            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7, n_workers=2
-        )
-        assert par.simulated_overhead == pytest.approx(
-            seq.simulated_overhead, rel=1e-12
-        )
-
-    def test_worker_cap(self, tiny_platform):
-        res = run_monte_carlo_parallel(
-            pattern_pd(100.0),
-            tiny_platform,
-            n_patterns=2,
-            n_runs=3,
-            seed=1,
-            n_workers=64,  # capped at n_runs internally
-        )
-        assert res.n_runs == 3
+        """Parallel fan-out preserves the per-point seed mapping."""
+        points = _points(tiny_platform, (7, 8, 9), engine="fast")
+        result = run_campaign(points, n_workers=2)
+        _assert_matches_direct(result.records, points, tiny_platform)
 
     def test_invalid_runs(self, tiny_platform):
-        with pytest.raises(ValueError):
-            run_monte_carlo_parallel(
-                pattern_pd(100.0), tiny_platform, n_runs=0
-            )
-
-    def test_prediction_passthrough(self, tiny_platform):
-        res = run_monte_carlo_parallel(
-            pattern_pd(100.0),
-            tiny_platform,
-            n_patterns=2,
-            n_runs=2,
-            seed=1,
-            n_workers=1,
-            predicted_overhead=0.25,
-        )
-        assert res.predicted_overhead == 0.25
+        with pytest.raises(ValueError, match="positive"):
+            _points(tiny_platform, (1,), n_runs=0)
 
 
 class TestStepEnginePool:
-    """The process pool is the step tier's scaling path; the fast tiers
-    bypass it (one in-process NumPy batch beats process fan-out), so
-    these tests force ``engine="step"``."""
+    """Step-tier points never pack: they reach the process pool as
+    per-point chunks, and their records must not depend on the worker
+    count or the chunking."""
 
     def test_multi_worker_matches_sequential(self, tiny_platform):
-        pat = pattern_pd(400.0)
-        seq = run_monte_carlo(
-            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7,
-            engine="step",
-        )
-        par = run_monte_carlo_parallel(
-            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7,
-            n_workers=2, engine="step",
-        )
-        assert par.engine == "step"
-        assert par.simulated_overhead == pytest.approx(
-            seq.simulated_overhead, rel=1e-12
-        )
-        assert (
-            par.aggregated.mean_counters["silent_errors"]
-            == seq.aggregated.mean_counters["silent_errors"]
-        )
+        points = _points(tiny_platform, (7, 8, 9), engine="step")
+        seq = run_campaign(points, n_workers=1)
+        par = run_campaign(points, n_workers=2)
+        assert {r["engine"] for r in par.records} == {"step"}
+        assert par.n_packed == 0
+        assert par.records == seq.records
 
     def test_chunked_matches_sequential(self, tiny_platform):
-        pat = pattern_pd(400.0)
-        seq = run_monte_carlo(
-            pat, tiny_platform, n_patterns=4, n_runs=9, seed=17,
-            engine="step",
+        points = _points(
+            tiny_platform, range(17, 25), engine="step", n_runs=9
         )
-        par = run_monte_carlo_parallel(
-            pat, tiny_platform, n_patterns=4, n_runs=9, seed=17,
-            n_workers=2, chunksize=4, engine="step",
-        )
-        assert par.simulated_overhead == pytest.approx(
-            seq.simulated_overhead, rel=1e-12
-        )
+        seq = run_campaign(points, n_workers=1)
+        par = run_campaign(points, n_workers=2, chunksize=4)
+        assert par.records == seq.records
 
-    def test_single_worker_in_process(self, tiny_platform):
-        pat = pattern_pd(300.0)
-        seq = run_monte_carlo(
-            pat, tiny_platform, n_patterns=3, n_runs=4, seed=2,
-            engine="step",
+    def test_single_worker_in_process(self, tiny_platform, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("forked a worker pool for one worker")
+
+        monkeypatch.setattr(
+            "repro.campaign.executor.ProcessPoolExecutor", no_pool
         )
-        par = run_monte_carlo_parallel(
-            pat, tiny_platform, n_patterns=3, n_runs=4, seed=2,
-            n_workers=1, engine="step",
+        points = _points(
+            tiny_platform, (2, 3), engine="step", n_patterns=3, n_runs=4
         )
-        assert par.simulated_overhead == pytest.approx(
-            seq.simulated_overhead, rel=1e-12
-        )
+        result = run_campaign(points, n_workers=1)
+        _assert_matches_direct(result.records, points, tiny_platform)
 
 
 class TestChunkedRunner:
     def test_chunked_matches_sequential(self, tiny_platform):
-        """Explicit chunking preserves the per-run seed mapping exactly."""
-        pat = pattern_pd(400.0)
-        seq = run_monte_carlo(
-            pat, tiny_platform, n_patterns=4, n_runs=9, seed=17
+        """Explicit chunking preserves the per-point seed mapping."""
+        points = _points(
+            tiny_platform, range(17, 25), engine="fast", n_runs=9
         )
-        par = run_monte_carlo_parallel(
-            pat,
-            tiny_platform,
-            n_patterns=4,
-            n_runs=9,
-            seed=17,
-            n_workers=2,
-            chunksize=4,
-        )
-        assert par.simulated_overhead == pytest.approx(
-            seq.simulated_overhead, rel=1e-12
-        )
-        assert (
-            par.aggregated.mean_counters["silent_errors"]
-            == seq.aggregated.mean_counters["silent_errors"]
-        )
+        result = run_campaign(points, n_workers=2, chunksize=4)
+        _assert_matches_direct(result.records, points, tiny_platform)
+        seq = run_campaign(points, n_workers=1)
+        assert result.records == seq.records
 
     def test_chunksize_one_matches_heuristic(self, tiny_platform):
-        pat = pattern_pd(400.0)
-        a = run_monte_carlo_parallel(
-            pat, tiny_platform, n_patterns=3, n_runs=6, seed=3,
-            n_workers=2, chunksize=1,
+        points = _points(
+            tiny_platform, range(3, 12), engine="step", n_patterns=3
         )
-        b = run_monte_carlo_parallel(
-            pat, tiny_platform, n_patterns=3, n_runs=6, seed=3,
-            n_workers=2,
-        )
-        assert a.simulated_overhead == b.simulated_overhead
+        assert default_chunksize(len(points), 2) > 1
+        one = run_campaign(points, n_workers=2, chunksize=1)
+        heuristic = run_campaign(points, n_workers=2)
+        assert one.records == heuristic.records
 
     def test_default_chunksize_heuristic(self):
-        from repro.simulation.parallel import default_chunksize
-
-        assert default_chunksize(8, 8) == 1  # small: one run per task
+        assert default_chunksize(8, 8) == 1  # small: one point per task
         assert default_chunksize(1000, 4) == 63  # ~4 tasks per worker
         assert default_chunksize(0, 4) == 1
 
@@ -180,35 +142,18 @@ class TestDefaultWorkers:
         )
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
-    def test_available_cpus_follows_affinity_mask(self, one_cpu):
-        assert available_cpus() == 1
-
-    def test_available_cpus_without_affinity_api(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert available_cpus() == 3
-
     def test_pinned_process_runs_in_process(
         self, one_cpu, tiny_platform, monkeypatch
     ):
-        """The step tier's default pool size follows the affinity mask:
-        pinned to one CPU, no pool is forked."""
+        """Step-tier points take the default pool size from the
+        affinity mask: pinned to one CPU, no pool is forked."""
 
         def no_pool(*args, **kwargs):
             raise AssertionError("forked a worker pool on one CPU")
 
         monkeypatch.setattr(
-            "repro.simulation.parallel.ProcessPoolExecutor", no_pool
+            "repro.campaign.executor.ProcessPoolExecutor", no_pool
         )
-        pat = pattern_pd(400.0)
-        par = run_monte_carlo_parallel(
-            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7,
-            engine="step",
-        )
-        seq = run_monte_carlo(
-            pat, tiny_platform, n_patterns=4, n_runs=6, seed=7,
-            engine="step",
-        )
-        assert par.simulated_overhead == pytest.approx(
-            seq.simulated_overhead, rel=1e-12
-        )
+        points = _points(tiny_platform, (7, 8), engine="step")
+        result = run_campaign(points)
+        _assert_matches_direct(result.records, points, tiny_platform)

@@ -9,6 +9,7 @@ fleet.
 import http.client
 import io
 import json
+import time
 
 import pytest
 
@@ -488,9 +489,17 @@ class TestSlowRequestLogE2E:
             svc.obs.log._stream = stream
             with ServiceClient(port=svc.port) as c:
                 result = c.evaluate([_simulate_request(seed=40)])
-            lines = stream.getvalue().strip().splitlines()
-        events = [json.loads(line) for line in lines]
-        slow = [e for e in events if e["event"] == "slow_request"]
+            # The server closes the trace (and logs) only after the
+            # response is written, so the client can see the answer
+            # before the log line lands: wait for it.
+            deadline = time.monotonic() + 10.0
+            while True:
+                lines = stream.getvalue().strip().splitlines()
+                events = [json.loads(line) for line in lines]
+                slow = [e for e in events if e["event"] == "slow_request"]
+                if slow or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
         assert slow
         assert slow[-1]["trace_id"] == result.trace_id
         assert slow[-1]["duration_ms"] >= 0
