@@ -34,7 +34,7 @@ from _history import write_bench_record
 from repro.campaign.executor import (
     available_cpus,
     evaluate_point,
-    evaluate_points_packed,
+    evaluate_points,
 )
 from repro.loadgen.replay import WorkloadReplayer
 from repro.loadgen.traces import TraceEvent
@@ -99,9 +99,9 @@ def _measure_throughput():
     points = _points(1)
 
     warm = _points(2, n=2)
-    evaluate_points_packed(warm)  # heat this process's memo caches
+    evaluate_points(warm)  # heat this process's memo caches
     t0 = time.perf_counter()
-    inproc_records = evaluate_points_packed(points)
+    inproc_records = evaluate_points(points)
     inproc_wall = time.perf_counter() - t0
 
     with EvalFleet(procs) as fleet:

@@ -129,7 +129,6 @@ def test_packed_campaign_end_to_end(tmp_path, once):
         [ScenarioPoint.from_dict({**p.to_dict(), "engine": "fast"})
          for p in warm],
         n_workers=1,
-        packing=False,
     )
 
     t_perpoint, per_point = _time(
@@ -137,7 +136,6 @@ def test_packed_campaign_end_to_end(tmp_path, once):
             fast_points,
             cache=str(tmp_path / "cache-perpoint"),
             n_workers=1,
-            packing=False,
         )
     )
     t_packed, packed = _time(

@@ -5,18 +5,20 @@ The executor turns a list of scenario points into result records:
 1. points already present in the JSONL *journal* are skipped (resume);
 2. points whose content hash is in the :class:`ResultCache` are served
    from disk and journaled without recomputation;
-3. the remaining *simulate* points whose engine request is packable
-   (``auto`` or ``packed``) are bucketed by compatibility and packed
-   into struct-of-arrays **mega-batches** -- one vectorised
-   :func:`~repro.simulation.packed_engine.simulate_packed_batch` call
-   advances a whole heterogeneous sweep, and per-point records are
-   bit-identical to solo fast-tier runs (the packed engine's draw-
-   identity contract), so packing is invisible to the journal and cache;
-4. everything else is batched into chunks -- many small scenario points
-   per submitted task, amortising the per-task submission overhead that
-   a one-future-per-point pool pays -- and fanned out to a
-   :class:`~concurrent.futures.ProcessPoolExecutor` alongside the
-   mega-batches.
+3. the remaining points are carved into buckets by the shared planner
+   (:func:`~repro.campaign.planner.plan_buckets` -- the same plan the
+   jobs API and the daemon's process fleet use): packable *simulate*
+   points (``auto`` or ``packed`` engine requests) into struct-of-arrays
+   **mega-batches**, everything else into chunks grouped by evaluation
+   shape -- many small scenario points per task, amortising the
+   per-task submission overhead that a one-future-per-point pool pays;
+4. each bucket is one :func:`evaluate_points` call, in-process or on a
+   :class:`~concurrent.futures.ProcessPoolExecutor`.  A mega-batch is
+   one vectorised
+   :func:`~repro.simulation.packed_engine.simulate_packed_batch` call,
+   and per-point records are bit-identical to solo fast-tier runs (the
+   packed engine's draw-identity contract), so packing is invisible to
+   the journal and cache.
 
 Every completed point is streamed to the journal (append-one-line,
 flushed) the moment it arrives, so an interrupted campaign loses at most
@@ -47,6 +49,7 @@ from typing import (
 )
 
 from repro.campaign.cache import ResultCache, cache_key
+from repro.campaign.planner import MAX_CHUNK, is_packable, plan_buckets
 from repro.campaign.spec import (
     CampaignSpec,
     ScenarioPoint,
@@ -54,11 +57,6 @@ from repro.campaign.spec import (
     platform_from_dict,
 )
 from repro.io import scan_jsonl
-
-#: Upper bound on points per submitted task (keeps journal streaming
-#: responsive: a chunk is the unit of loss on interruption).  Override
-#: per campaign via ``max_chunk`` / ``--max-chunk``.
-MAX_CHUNK = 64
 
 #: Default row budget (pattern instances, summed over points) of one
 #: packed mega-batch.  ~1M rows keep the packed engine's struct-of-arrays
@@ -75,14 +73,6 @@ class CampaignConfigError(ValueError):
     """
 
 
-#: Engine requests the campaign planner may route through the packed
-#: engine.  ``auto`` is packable because packed results are bit-identical
-#: to the fast tier the request would dispatch to; explicit tier requests
-#: (``fast``, ``fast-pd``, ``step``) are honoured literally, point by
-#: point.
-PACKABLE_ENGINES = ("auto", "packed")
-
-
 def available_cpus() -> int:
     """CPUs this process may run on: the default worker-pool size.
 
@@ -96,11 +86,9 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def default_chunksize(
-    n_points: int, n_workers: int, *, max_chunk: Optional[int] = None
-) -> int:
+def default_chunksize(n_points: int, n_workers: int) -> int:
     """Points per submitted task: ~4 tasks per worker, capped at
-    ``max_chunk`` (default :data:`MAX_CHUNK`).
+    :data:`~repro.campaign.planner.MAX_CHUNK`.
 
     Four tasks per worker keep the pool load-balanced while cutting the
     per-task submission overhead of small points; the cap keeps journal
@@ -110,7 +98,7 @@ def default_chunksize(
         return 1
     workers = max(1, n_workers)
     size = max(1, -(-n_points // (workers * 4)))
-    return min(MAX_CHUNK if max_chunk is None else max_chunk, size)
+    return min(MAX_CHUNK, size)
 
 
 class _PointBuilds:
@@ -374,55 +362,29 @@ def evaluate_point(point: ScenarioPoint) -> Dict[str, Any]:
 def evaluate_points(
     points: Sequence[ScenarioPoint],
 ) -> List[Dict[str, Any]]:
-    """Evaluate many points, batching analytic ones per family.
+    """Evaluate a batch of points; records in input order.
 
-    Analytic points sharing a pattern family are packed into one
-    :class:`~repro.core.batch.PlatformGrid` and answered by a single
-    vectorised :func:`~repro.core.batch.analytic_records` call -- the
-    batch path the ``analytic`` engine tier exists for.  Every other
-    point goes through :func:`evaluate_point` (with a shared
-    platform/kind/optimisation memo) unchanged.  Results are returned in
-    input order.  For cross-point *simulation* batching see
-    :func:`evaluate_points_packed`.
-    """
-    out: List[Optional[Dict[str, Any]]] = [None] * len(points)
-    builds = _PointBuilds()
-    analytic_by_kind: Dict[str, List[int]] = {}
-    for i, point in enumerate(points):
-        if point.mode == "simulate" and point.engine == "analytic":
-            analytic_by_kind.setdefault(point.kind, []).append(i)
-        else:
-            out[i] = _evaluate_point_built(point, builds)
-    if analytic_by_kind:
-        from repro.core.batch import PlatformGrid, analytic_records
+    The one batch entry of every execution path (campaign tasks, jobs,
+    the daemon and its process fleet).  Each point takes one of three
+    routes:
 
-        for kind_name, idxs in analytic_by_kind.items():
-            kind = points[idxs[0]].build_kind()
-            grid = PlatformGrid.from_platforms(
-                [points[i].build_platform() for i in idxs]
-            )
-            for i, rec in zip(idxs, analytic_records(kind, grid)):
-                out[i] = {
-                    "mode": points[i].mode, "engine": "analytic", **rec
-                }
-    return out  # type: ignore[return-value]
+    * a simulate point whose engine request is packable (``auto`` or
+      ``packed``) and resolves to the fast-general or packed tier
+      contributes its instances to a single
+      :func:`~repro.simulation.packed_engine.simulate_packed_batch`
+      call; its generator comes from the same
+      :func:`~repro.simulation.dispatch.tier_rng` derivation the solo
+      fast tier uses;
+    * analytic points sharing a pattern family are packed into one
+      :class:`~repro.core.batch.PlatformGrid` and answered by a single
+      vectorised :func:`~repro.core.batch.analytic_records` call;
+    * every other point (explicit tiers, ``auto`` requests that
+      dispatch to ``fast-pd``, optimize points) is evaluated on its own,
+      with a shared platform/kind/optimisation memo.
 
-
-def evaluate_points_packed(
-    points: Sequence[ScenarioPoint],
-) -> List[Dict[str, Any]]:
-    """Evaluate simulate points through one packed mega-batch.
-
-    Every point that resolves to the fast-general tier (or explicitly
-    requests ``packed``) contributes its instances to a single
-    :func:`~repro.simulation.packed_engine.simulate_packed_batch` call;
-    each point's generator comes from the same
-    :func:`~repro.simulation.dispatch.tier_rng` derivation the solo fast
-    tier uses, so the per-point records are **bit-identical** to
-    :func:`evaluate_point` -- packing (and therefore chunking and worker
-    count) is invisible in the results.  Points the packed engine does
-    not cover (e.g. ``auto`` requests that dispatch to ``fast-pd``) fall
-    back to the per-point path.  Results are in input order.
+    Per-point records are **bit-identical** to :func:`evaluate_point`
+    whatever the batch holds, so batching, packing and worker count are
+    invisible in the results.
     """
     from repro.simulation.dispatch import EngineTier, select_engine, tier_rng
     from repro.simulation.packed_engine import (
@@ -434,41 +396,51 @@ def evaluate_points_packed(
     builds = _PointBuilds()
     jobs: List[PackedJob] = []
     packed_meta: List[Tuple[int, Any, str]] = []
-    solo: List[int] = []
+    analytic_by_kind: Dict[str, List[int]] = {}
     for i, point in enumerate(points):
-        if point.mode != "simulate" or point.engine not in PACKABLE_ENGINES:
-            solo.append(i)
+        if point.mode == "simulate" and point.engine == "analytic":
+            analytic_by_kind.setdefault(point.kind, []).append(i)
             continue
-        opt, sim_platform = builds.optimal(point)
-        tier = select_engine(
-            opt.pattern,
-            fail_stop_in_operations=point.fail_stop_in_operations,
-            engine=point.engine,
-        )
-        if tier not in (EngineTier.FAST_GENERAL, EngineTier.PACKED):
-            solo.append(i)
-            continue
-        rng = tier_rng(
-            point.seed,
-            opt.pattern,
-            sim_platform,
-            point.fail_stop_in_operations,
-        )
-        jobs.append(
-            PackedJob(
+        if is_packable(point):
+            opt, sim_platform = builds.optimal(point)
+            tier = select_engine(
                 opt.pattern,
-                sim_platform,
-                point.n_runs * point.n_patterns,
-                rng,
                 fail_stop_in_operations=point.fail_stop_in_operations,
+                engine=point.engine,
             )
-        )
-        packed_meta.append((i, opt, tier.value))
-    if solo:
-        for i, rec in zip(
-            solo, evaluate_points([points[i] for i in solo])
-        ):
-            out[i] = rec
+            if tier in (EngineTier.FAST_GENERAL, EngineTier.PACKED):
+                rng = tier_rng(
+                    point.seed,
+                    opt.pattern,
+                    sim_platform,
+                    point.fail_stop_in_operations,
+                )
+                jobs.append(
+                    PackedJob(
+                        opt.pattern,
+                        sim_platform,
+                        point.n_runs * point.n_patterns,
+                        rng,
+                        fail_stop_in_operations=(
+                            point.fail_stop_in_operations
+                        ),
+                    )
+                )
+                packed_meta.append((i, opt, tier.value))
+                continue
+        out[i] = _evaluate_point_built(point, builds)
+    if analytic_by_kind:
+        from repro.core.batch import PlatformGrid, analytic_records
+
+        for idxs in analytic_by_kind.values():
+            kind = points[idxs[0]].build_kind()
+            grid = PlatformGrid.from_platforms(
+                [points[i].build_platform() for i in idxs]
+            )
+            for i, rec in zip(idxs, analytic_records(kind, grid)):
+                out[i] = {
+                    "mode": points[i].mode, "engine": "analytic", **rec
+                }
     if jobs:
         results = simulate_packed_batch(jobs)
         # Group by per-run reduction shape so the record assembly runs
@@ -505,21 +477,9 @@ def evaluate_points_packed(
 def _evaluate_chunk(
     point_dicts: Sequence[Dict[str, Any]]
 ) -> List[Tuple[str, Dict[str, Any]]]:
-    """Worker entry: evaluate a batch of serialised points."""
+    """Worker entry: evaluate one bucket of serialised points."""
     points = [ScenarioPoint.from_dict(data) for data in point_dicts]
     records = evaluate_points(points)
-    return [
-        (cache_key(point), record)
-        for point, record in zip(points, records)
-    ]
-
-
-def _evaluate_packed_chunk(
-    point_dicts: Sequence[Dict[str, Any]]
-) -> List[Tuple[str, Dict[str, Any]]]:
-    """Worker entry: evaluate one packed mega-batch of serialised points."""
-    points = [ScenarioPoint.from_dict(data) for data in point_dicts]
-    records = evaluate_points_packed(points)
     return [
         (cache_key(point), record)
         for point, record in zip(points, records)
@@ -633,9 +593,6 @@ class Journal:
             self._fh = None
 
 
-_Journal = Journal
-
-
 def run_campaign(
     campaign: Union[CampaignSpec, Sequence[ScenarioPoint]],
     *,
@@ -643,9 +600,7 @@ def run_campaign(
     journal_path: Optional[str] = None,
     n_workers: Optional[int] = None,
     chunksize: Optional[int] = None,
-    max_chunk: Optional[int] = None,
     pack_rows: Optional[int] = None,
-    packing: bool = True,
 ) -> CampaignResult:
     """Run (or resume) a campaign and return its assembled records.
 
@@ -667,19 +622,12 @@ def run_campaign(
         ``1`` runs in-process (deterministic, no pool) but still journals
         task by task.
     chunksize:
-        Points per submitted per-point task; default
+        Points per submitted task of non-packable points; default
         :func:`default_chunksize`.  Validated against the worker count:
         an explicit chunksize that leaves explicit workers idle raises.
-    max_chunk:
-        Cap on the chunksize heuristic (default :data:`MAX_CHUNK`).
     pack_rows:
         Row budget (summed ``n_runs * n_patterns``) of one packed
         mega-batch; default :data:`DEFAULT_PACK_ROWS`.
-    packing:
-        When True (default), simulate points requesting ``auto`` or
-        ``packed`` engines run through cross-point packed mega-batches;
-        records are bit-identical either way, so this is purely an
-        execution-strategy switch (False forces the per-point path).
     """
     spec = campaign if isinstance(campaign, CampaignSpec) else None
     points = list(spec.points() if spec is not None else campaign)
@@ -692,10 +640,6 @@ def run_campaign(
     if chunksize is not None and chunksize < 1:
         raise CampaignConfigError(
             f"chunksize must be >= 1, got {chunksize}"
-        )
-    if max_chunk is not None and max_chunk < 1:
-        raise CampaignConfigError(
-            f"max_chunk must be >= 1, got {max_chunk}"
         )
     if pack_rows is not None and pack_rows < 1:
         raise CampaignConfigError(
@@ -749,9 +693,7 @@ def run_campaign(
             cache,
             n_workers,
             chunksize,
-            max_chunk,
             pack_rows,
-            packing,
         )
     finally:
         journal.close()
@@ -773,53 +715,6 @@ def run_campaign(
     )
 
 
-def is_packable(point: ScenarioPoint) -> bool:
-    """Whether the planner may route a point through the packed engine."""
-    return point.mode == "simulate" and point.engine in PACKABLE_ENGINES
-
-
-_is_packable = is_packable
-
-
-def plan_mega_batches(
-    packable: List[Tuple[str, ScenarioPoint]],
-    pack_rows: int,
-) -> List[List[Tuple[str, ScenarioPoint]]]:
-    """Bucket packable points by compatibility and split by row budget.
-
-    Buckets are keyed by (fail-stop setting, engine request, Monte-Carlo
-    size): rows of one mega-batch then share the semantics setting, the
-    record engine label and the per-run reduction shape.  Within a
-    bucket, points fill consecutive packs up to ``pack_rows`` instances
-    each (:func:`repro.simulation.packed_engine.plan_packs`).  The plan
-    depends only on point content and order -- never on the worker
-    count -- so packed campaigns journal identical records under any
-    parallelism.  The jobs service reuses this planner to carve a
-    submitted campaign into progress-sized buckets whose rows pack
-    densely (:mod:`repro.service.jobs.fair_share`).
-    """
-    from repro.simulation.packed_engine import plan_packs
-
-    buckets: Dict[Tuple, List[Tuple[str, ScenarioPoint]]] = {}
-    for key, point in packable:
-        bucket = (
-            point.fail_stop_in_operations,
-            point.engine,
-            point.n_patterns,
-            point.n_runs,
-        )
-        buckets.setdefault(bucket, []).append((key, point))
-    batches: List[List[Tuple[str, ScenarioPoint]]] = []
-    for bucket_points in buckets.values():
-        sizes = [p.n_runs * p.n_patterns for _, p in bucket_points]
-        for pack in plan_packs(sizes, pack_rows):
-            batches.append([bucket_points[i] for i in pack])
-    return batches
-
-
-_plan_mega_batches = plan_mega_batches
-
-
 def _execute(
     todo: List[Tuple[str, ScenarioPoint]],
     resolved: Dict[str, Dict[str, Any]],
@@ -827,9 +722,7 @@ def _execute(
     cache: Optional[ResultCache],
     n_workers: Optional[int],
     chunksize: Optional[int],
-    max_chunk: Optional[int],
     pack_rows: Optional[int],
-    packing: bool,
 ) -> Tuple[int, int]:
     """Evaluate the outstanding points, streaming results as they land.
 
@@ -841,41 +734,31 @@ def _execute(
     workers = n_workers if n_workers is not None else available_cpus()
     workers = max(1, min(workers, len(todo)))
 
-    if packing:
-        packable = [(k, p) for k, p in todo if is_packable(p)]
-    else:
-        packable = []
-    packable_keys = {k for k, _ in packable}
-    rest = [(k, p) for k, p in todo if k not in packable_keys]
-
-    budget = pack_rows if pack_rows is not None else DEFAULT_PACK_ROWS
-    if workers > 1 and packable:
-        # Shrink the budget so the mega-batches can spread across the
-        # pool (per-point records are packing-invariant, so the split
-        # never changes results -- only parallelism).
-        total_rows = sum(p.n_runs * p.n_patterns for _, p in packable)
-        budget = min(budget, max(1, -(-total_rows // workers)))
-    pack_batches = plan_mega_batches(packable, budget)
-    n_packed = sum(len(batch) for batch in pack_batches)
-
+    n_packed = sum(1 for _, p in todo if is_packable(p))
+    n_rest = len(todo) - n_packed
     size = (
         chunksize
         if chunksize is not None
-        else default_chunksize(len(rest), workers, max_chunk=max_chunk)
+        else default_chunksize(n_rest, workers)
     )
-    size = max(1, size)
-    chunks = [rest[i : i + size] for i in range(0, len(rest), size)]
+    buckets = plan_buckets(
+        todo,
+        pack_rows if pack_rows is not None else DEFAULT_PACK_ROWS,
+        workers=workers,
+        chunk=size,
+    )
+    n_chunks = sum(1 for b in buckets if not is_packable(b[0][1]))
     if (
         chunksize is not None
         and explicit_workers
         and workers > 1
-        and len(rest) >= workers
-        and len(chunks) < workers
+        and n_rest >= workers
+        and n_chunks < workers
     ):
         raise CampaignConfigError(
-            f"chunksize {chunksize} splits {len(rest)} per-point tasks "
-            f"into only {len(chunks)} chunks, leaving "
-            f"{workers - len(chunks)} of {workers} workers idle; lower "
+            f"chunksize {chunksize} splits {n_rest} per-point tasks "
+            f"into only {n_chunks} chunks, leaving "
+            f"{workers - n_chunks} of {workers} workers idle; lower "
             "chunksize (or the worker count) so every worker gets a chunk"
         )
 
@@ -886,32 +769,21 @@ def _execute(
             cache.put(key, record)
 
     if workers == 1:
-        # In-process, deterministic -- but still batched so packed points
-        # ride the mega-batch path and analytic points the grid path; the
-        # journal flushes after every task (the unit of loss on
-        # interruption).
-        for batch in pack_batches:
-            records = evaluate_points_packed([p for _, p in batch])
-            for (key, _), record in zip(batch, records):
-                commit(key, record)
-        for chunk in chunks:
-            records = evaluate_points([p for _, p in chunk])
-            for (key, _), record in zip(chunk, records):
+        # In-process and deterministic, but still bucketed: the journal
+        # flushes after every bucket (the unit of loss on interruption).
+        for bucket in buckets:
+            records = evaluate_points([p for _, p in bucket])
+            for (key, _), record in zip(bucket, records):
                 commit(key, record)
         return len(todo), n_packed
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = {}
-        for batch in pack_batches:
-            fut = pool.submit(
-                _evaluate_packed_chunk, [p.to_dict() for _, p in batch]
-            )
-            pending[fut] = batch
-        for chunk in chunks:
-            fut = pool.submit(
-                _evaluate_chunk, [p.to_dict() for _, p in chunk]
-            )
-            pending[fut] = chunk
+        pending = {
+            pool.submit(
+                _evaluate_chunk, [p.to_dict() for _, p in bucket]
+            ): bucket
+            for bucket in buckets
+        }
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for fut in done:

@@ -275,18 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         "validated against --workers)",
     )
     p.add_argument(
-        "--max-chunk", type=int, default=None,
-        help="cap on the chunksize heuristic (default: 64)",
-    )
-    p.add_argument(
         "--pack-rows", type=int, default=None,
         help="row budget (n_runs x n_patterns summed) per packed "
         "mega-batch (default: 1000000)",
-    )
-    p.add_argument(
-        "--no-pack", action="store_true",
-        help="disable cross-point packed execution (per-point tasks "
-        "only; results are identical either way)",
     )
     p.add_argument(
         "--clear", action="store_true",
@@ -845,9 +836,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             journal_path=args.journal,
             n_workers=args.workers,
             chunksize=args.chunksize,
-            max_chunk=args.max_chunk,
             pack_rows=args.pack_rows,
-            packing=not args.no_pack,
         )
     except CampaignConfigError as exc:
         # Flag mistakes get a one-line message; computation errors keep

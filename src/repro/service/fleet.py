@@ -12,15 +12,15 @@ processes**:
   its imports, schedule/optimisation memo caches and NumPy buffers
   across batches, so per-batch cost is IPC plus compute, never
   interpreter start-up.
-* Each batch is carved into row-budgeted buckets by the **same
-  planner the jobs layer uses**
-  (:func:`repro.service.jobs.fair_share.plan_job_buckets`):
-  compatibility bucketing plus row-budget splitting, with the budget
-  shrunk to ``ceil(total_rows / procs)`` so one batch spreads across
-  the whole fleet instead of filling one worker's default budget.
+* Each batch is carved into row-budgeted buckets by the **one planner
+  every execution path uses**
+  (:func:`repro.campaign.planner.plan_buckets`, also behind
+  ``run_campaign`` and the jobs API): compatibility bucketing plus
+  row-budget splitting, with the budget spread across ``procs`` so one
+  batch fills the whole fleet instead of one worker's default budget.
 * Workers evaluate through
-  :func:`~repro.campaign.executor.evaluate_points_packed`, whose
-  per-point records are **bit-identical** to solo
+  :func:`~repro.campaign.executor.evaluate_points`, whose per-point
+  records are **bit-identical** to solo
   :func:`~repro.campaign.executor.evaluate_point` runs under any
   packing -- ``tier_rng``'s placement-invariant per-point streams make
   the worker count invisible in the results.  The fleet reassembles
@@ -75,18 +75,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.cache import cache_key
 from repro.campaign.executor import DEFAULT_PACK_ROWS
+from repro.campaign.planner import (
+    Bucket,
+    bucket_rows,
+    plan_buckets,
+    point_rows,
+)
 from repro.campaign.spec import ScenarioPoint
 from repro.service.faults import (
     FaultInjector,
     FleetUnavailableError,
     InjectedFault,
     PoisonPointError,
-)
-from repro.service.jobs.fair_share import (
-    Bucket,
-    bucket_rows,
-    plan_job_buckets,
-    point_rows,
 )
 from repro.service.obs import Observability, current_sink
 
@@ -139,18 +139,18 @@ def _evaluate_bucket(
                 and d.get("seed") in poison_seeds
             ):
                 os._exit(17)
-    from repro.campaign.executor import evaluate_points_packed
+    from repro.campaign.executor import evaluate_points
 
     points = [ScenarioPoint.from_dict(d) for d in point_dicts]
     if timed:
         t0 = time.perf_counter()
-        records = evaluate_points_packed(points)
+        records = evaluate_points(points)
         return {
             "records": records,
             "pid": os.getpid(),
             "eval_s": time.perf_counter() - t0,
         }
-    return evaluate_points_packed(points)
+    return evaluate_points(points)
 
 
 class EvalFleet:
@@ -353,10 +353,10 @@ class EvalFleet:
     ) -> List[Dict[str, Any]]:
         """Evaluate one scheduler batch across the fleet, in order.
 
-        Bucket planning depends only on point content and order --
-        never on ``procs`` -- and every bucket is evaluated through
-        the placement-invariant packed path, so the records match an
-        in-process :func:`evaluate_points_packed` call bit for bit,
+        Bucket planning depends only on point content, order and
+        ``procs``, and every bucket is evaluated through the
+        placement-invariant packed path, so the records match an
+        in-process :func:`evaluate_points` call bit for bit,
         **including across pool rebuilds**: a retried bucket replays
         the exact per-point RNG streams the crashed attempt started.
         """
@@ -393,12 +393,8 @@ class EvalFleet:
         # (cache keys may legitimately repeat within a batch).
         items = [(str(i), p) for i, p in enumerate(points)]
         total_rows = sum(point_rows(p) for p in points)
-        budget = min(
-            self.pack_rows,
-            max(1, -(-total_rows // self.procs)),
-        )
         t_plan0 = time.perf_counter() if self._obs is not None else 0.0
-        buckets = plan_job_buckets(items, budget)
+        buckets = plan_buckets(items, self.pack_rows, workers=self.procs)
         if self._obs is not None:
             for b in buckets:
                 self._obs.h_bucket_rows.observe(bucket_rows(b))
@@ -407,7 +403,7 @@ class EvalFleet:
                     "pack",
                     t_plan0,
                     time.perf_counter(),
-                    {"buckets": len(buckets), "bucket_budget": budget},
+                    {"buckets": len(buckets)},
                 )
         out: List[Optional[Dict[str, Any]]] = [None] * len(points)
         # (bucket, crashes-so-far) work list; crashed buckets re-enter

@@ -17,17 +17,13 @@ tiered cache, and records **bit-identical** to a solo
   (``<jobs-dir>/<job-id>/{spec.json,journal.jsonl,state.json}``) that
   lets jobs survive a daemon restart and resume from their journals.
 * :mod:`repro.service.jobs.fair_share` -- least-served-client job
-  picking plus makespan-aware (LPT) bucket ordering over the campaign
-  executor's mega-batch planner.
+  picking; jobs are carved into buckets by the planner every execution
+  path shares (:func:`repro.campaign.planner.plan_buckets`).
 * :mod:`repro.service.jobs.api` -- the HTTP route handlers
   (``/v1/campaign``, ``/v1/jobs``...), kept out of the server core.
 """
 
-from repro.service.jobs.fair_share import (
-    FairShare,
-    order_buckets,
-    plan_job_buckets,
-)
+from repro.service.jobs.fair_share import FairShare
 from repro.service.jobs.manager import Job, JobManager
 from repro.service.jobs.store import JobStore
 
@@ -36,6 +32,4 @@ __all__ = [
     "Job",
     "JobManager",
     "JobStore",
-    "order_buckets",
-    "plan_job_buckets",
 ]

@@ -1,102 +1,21 @@
-"""Fair-share job picking and makespan-aware bucket planning.
+"""Fair-share job picking across concurrent jobs.
 
-Two small, separately testable policies feed the
-:class:`~repro.service.jobs.manager.JobManager` pump:
+:class:`FairShare` decides **whose** work runs next in the
+:class:`~repro.service.jobs.manager.JobManager` pump: clients are
+charged for the Monte-Carlo rows dispatched on their behalf, and the
+next bucket always comes from the least-charged client with runnable
+work (ties break by submission order).  Two clients submitting
+campaigns of any relative size therefore make interleaved progress
+instead of queueing behind each other.
 
-* :class:`FairShare` decides **whose** work runs next: clients are
-  charged for the Monte-Carlo rows dispatched on their behalf, and the
-  next bucket always comes from the least-charged client with runnable
-  work (ties break by submission order).  Two clients submitting
-  campaigns of any relative size therefore make interleaved progress
-  instead of queueing behind each other.
-
-* :func:`plan_job_buckets` decides **what** a unit of work is: a job's
-  points are carved into compatibility buckets via the campaign
-  executor's mega-batch planner (:func:`~repro.campaign.executor.
-  plan_mega_batches` -- the same bucketing ``campaign run`` packs by),
-  non-packable points are grouped so analytic grids and optimize
-  chunks still batch, and :func:`order_buckets` orders the result
-  longest-processing-time first -- the classic makespan heuristic (cf.
-  the faasm ``BatchScheduler`` harness): big dense buckets start early
-  and the ragged tail fills in behind them, so mega-batch packing
-  stays dense across concurrent jobs.
-
-Bucketing never affects results: every record is bit-identical under
-any grouping (the packed engine's draw-identity contract), so buckets
-are purely the units of scheduling, progress and journal streaming.
+**What** a bucket is -- the compatibility bucketing, row budgets and
+longest-processing-time-first order -- is decided by the planner every
+execution path shares, :func:`repro.campaign.planner.plan_buckets`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.campaign.executor import (
-    MAX_CHUNK,
-    is_packable,
-    plan_mega_batches,
-)
-from repro.campaign.spec import ScenarioPoint
-from repro.service.scheduler import point_rows
-
-#: One schedulable unit: ``(key, point)`` pairs that ride one
-#: scheduler submission together.
-Bucket = List[Tuple[str, ScenarioPoint]]
-
-
-def bucket_rows(bucket: Bucket) -> int:
-    """A bucket's row weight (the fair-share charging currency)."""
-    return sum(point_rows(p) for _, p in bucket)
-
-
-def plan_job_buckets(
-    items: Sequence[Tuple[str, ScenarioPoint]],
-    pack_rows: int,
-    *,
-    max_chunk: int = MAX_CHUNK,
-) -> List[Bucket]:
-    """Carve a job's outstanding points into schedulable buckets.
-
-    Packable simulate points go through the campaign executor's
-    mega-batch planner (compatibility bucketing + row-budget splitting);
-    everything else is grouped by its evaluation shape -- analytic
-    points per pattern family (they batch onto one
-    :class:`~repro.core.batch.PlatformGrid`), remaining points by
-    (mode, engine) -- and chunked at ``max_chunk`` so progress stays
-    granular.  Returns the buckets in makespan (LPT) order.
-    """
-    if pack_rows < 1:
-        raise ValueError(f"pack_rows must be >= 1, got {pack_rows}")
-    packable = [(k, p) for k, p in items if is_packable(p)]
-    packable_keys = {k for k, _ in packable}
-    buckets = plan_mega_batches(packable, pack_rows)
-    rest: Dict[Tuple, Bucket] = {}
-    for key, point in items:
-        if key in packable_keys:
-            continue
-        if point.mode == "simulate" and point.engine == "analytic":
-            group = ("analytic", point.kind)
-        else:
-            group = (point.mode, point.engine)
-        rest.setdefault(group, []).append((key, point))
-    for group_items in rest.values():
-        for i in range(0, len(group_items), max_chunk):
-            buckets.append(group_items[i : i + max_chunk])
-    return order_buckets(buckets)
-
-
-def order_buckets(buckets: Iterable[Bucket]) -> List[Bucket]:
-    """Longest-processing-time-first bucket order (stable on ties).
-
-    Dispatching the heaviest buckets first minimises the schedule's
-    tail: the small heterogeneous leftovers interleave behind the big
-    dense mega-batches instead of stranding one giant bucket at the
-    end of the job.
-    """
-    indexed = list(buckets)
-    return sorted(
-        indexed,
-        key=lambda b: (-bucket_rows(b), indexed.index(b)),
-    )
+from typing import Dict, Optional, Sequence
 
 
 class FairShare:

@@ -3,7 +3,7 @@
 A **job** is one submitted :class:`~repro.campaign.spec.CampaignSpec`
 running server-side: expanded into scenario points through the scenario
 registry, carved into makespan-ordered buckets
-(:func:`~repro.service.jobs.fair_share.plan_job_buckets`), and pushed
+(:func:`~repro.campaign.planner.plan_buckets`), and pushed
 through the daemon's shared :class:`~repro.service.scheduler.
 MicroBatchScheduler` -- the same coalescing, caching, micro-batching
 pipeline that serves interactive ``/v1/evaluate`` traffic.  Job points
@@ -41,13 +41,9 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Set
 
 from repro.campaign.executor import Journal
+from repro.campaign.planner import Bucket, bucket_rows, plan_buckets
 from repro.campaign.spec import CampaignSpec, ScenarioPoint
-from repro.service.jobs.fair_share import (
-    Bucket,
-    FairShare,
-    bucket_rows,
-    plan_job_buckets,
-)
+from repro.service.jobs.fair_share import FairShare
 from repro.service.jobs.store import JobStore
 from repro.service.obs import Observability
 from repro.service.scheduler import MicroBatchScheduler
@@ -563,7 +559,7 @@ class JobManager:
                 continue
             seen.add(key)
             todo.append((key, point))
-        job.buckets = deque(plan_job_buckets(todo, self.pack_rows))
+        job.buckets = deque(plan_buckets(todo, self.pack_rows))
 
     async def _pump(self) -> None:
         while True:

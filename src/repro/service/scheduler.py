@@ -14,8 +14,8 @@ each point the scheduler, in order:
    -- so that points arriving together are evaluated together.
 
 A batch is evaluated on a small thread pool through
-:func:`~repro.campaign.executor.evaluate_points_packed` -- the same
-routing the campaign executor uses: analytic points grouped per family
+:func:`~repro.campaign.executor.evaluate_points` -- the one batch entry
+every execution path uses: analytic points grouped per family
 onto :mod:`repro.core.batch`, simulate points packed into one
 struct-of-arrays mega-batch, everything else per point.  Each point's
 random stream comes from :func:`~repro.simulation.dispatch.tier_rng`
@@ -53,6 +53,7 @@ from typing import (
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.campaign.cache import cache_key
+from repro.campaign.planner import point_rows
 from repro.campaign.spec import ScenarioPoint
 from repro.service.faults import FleetUnavailableError
 from repro.service.memcache import TieredCache
@@ -86,19 +87,6 @@ DEFAULT_FLEET_FAILURE_THRESHOLD = 3
 #: is bad": the fallback gets the batch and the circuit breaker counts.
 FLEET_INFRA_ERRORS = (FleetUnavailableError, BrokenProcessPool)
 
-
-def point_rows(point: ScenarioPoint) -> int:
-    """A point's contribution to a batch row budget.
-
-    Shared with the jobs layer, whose fair-share accounting charges
-    clients by the same row currency the batcher packs by.
-    """
-    if point.mode == "simulate" and point.engine != "analytic":
-        return max(1, point.n_patterns * point.n_runs)
-    return 1
-
-
-_point_rows = point_rows
 
 #: A settled per-key outcome: the result record, or the exception the
 #: computation raised.
@@ -169,8 +157,8 @@ class MicroBatchScheduler:
         threads).
     evaluate:
         The batch evaluation function, ``points -> records`` in order.
-        Defaults to :func:`~repro.campaign.executor.
-        evaluate_points_packed`; tests inject counting wrappers here to
+        Defaults to :func:`~repro.campaign.executor.evaluate_points`;
+        tests inject counting wrappers here to
         assert coalescing.
     fallback_evaluate:
         Graceful-degradation path for an injected ``evaluate`` that can
@@ -217,9 +205,9 @@ class MicroBatchScheduler:
                 f"{fleet_failure_threshold}"
             )
         if evaluate is None:
-            from repro.campaign.executor import evaluate_points_packed
+            from repro.campaign.executor import evaluate_points
 
-            evaluate = evaluate_points_packed
+            evaluate = evaluate_points
         self._evaluate = evaluate
         self._fallback = fallback_evaluate
         self.fleet_failure_threshold = int(fleet_failure_threshold)

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro._version import __version__
+from repro.campaign.planner import point_rows
 from repro.service.admission import (
     ANONYMOUS_CLIENT,
     AdmissionConfig,
@@ -86,7 +87,6 @@ from repro.service.scheduler import (
     DEFAULT_PACK_ROWS,
     DEFAULT_WINDOW_MS,
     MicroBatchScheduler,
-    point_rows,
 )
 
 #: Reject request bodies beyond this size (a 4096-point batch is ~2 MB).
@@ -642,13 +642,13 @@ async def start_service(
     evaluate = fleet.evaluate if fleet is not None else None
     fallback = None
     if fleet is not None:
-        from repro.campaign.executor import evaluate_points_packed
+        from repro.campaign.executor import evaluate_points
 
-        fallback = evaluate_points_packed
+        fallback = evaluate_points
     elif injector is not None and plan.touches_eval:
-        from repro.campaign.executor import evaluate_points_packed
+        from repro.campaign.executor import evaluate_points
 
-        evaluate = wrap_evaluate(evaluate_points_packed, injector)
+        evaluate = wrap_evaluate(evaluate_points, injector)
     scheduler = MicroBatchScheduler(
         cache,
         batch_window_ms=config.batch_window_ms,

@@ -254,9 +254,9 @@ def packed_campaign_points():
 
 def compute_packed_campaign_golden() -> List[Dict[str, Any]]:
     """Evaluate the fixture campaign through the packed mega-batch path."""
-    from repro.campaign.executor import evaluate_points_packed
+    from repro.campaign.executor import evaluate_points
 
-    return evaluate_points_packed(packed_campaign_points())
+    return evaluate_points(packed_campaign_points())
 
 
 def write_packed_campaign_golden() -> str:

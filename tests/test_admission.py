@@ -27,7 +27,7 @@ from repro.service.admission import (
 )
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import point_from_request
-from repro.service.scheduler import point_rows
+from repro.campaign.planner import point_rows
 from repro.service.server import BackgroundService
 
 

@@ -188,20 +188,12 @@ class TestResume:
         computed = []
         import repro.campaign.executor as executor_mod
 
-        real_packed = executor_mod.evaluate_points_packed
         real_points = executor_mod.evaluate_points
-
-        def spy_packed(points_):
-            computed.extend(p.kind for p in points_)
-            return real_packed(points_)
 
         def spy_points(points_):
             computed.extend(p.kind for p in points_)
             return real_points(points_)
 
-        monkeypatch.setattr(
-            "repro.campaign.executor.evaluate_points_packed", spy_packed
-        )
         monkeypatch.setattr(
             "repro.campaign.executor.evaluate_points", spy_points
         )

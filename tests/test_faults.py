@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from repro.campaign.executor import evaluate_point, evaluate_points_packed
+from repro.campaign.executor import evaluate_point, evaluate_points
 from repro.cli import main
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.faults import (
@@ -261,7 +261,7 @@ class TestCircuitBreaker:
                 None,
                 batch_window_ms=0,
                 evaluate=failing,
-                fallback_evaluate=evaluate_points_packed,
+                fallback_evaluate=evaluate_points,
                 fleet_failure_threshold=2,
             )
             await scheduler.start()

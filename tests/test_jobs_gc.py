@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.campaign.executor import evaluate_points_packed
+from repro.campaign.executor import evaluate_points
 from repro.campaign.spec import CampaignSpec, platform_to_dict
 from repro.cli import main
 from repro.service.client import ServiceClient
@@ -104,7 +104,7 @@ class TestManagerGc:
         def gated(points):
             entered.set()
             assert release.wait(30)
-            return evaluate_points_packed(points)
+            return evaluate_points(points)
 
         async def scenario(manager, scheduler):
             job = await manager.submit(spec, "alice")

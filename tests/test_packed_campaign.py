@@ -26,7 +26,6 @@ from repro.campaign.executor import (
     DEFAULT_PACK_ROWS,
     evaluate_point,
     evaluate_points,
-    evaluate_points_packed,
     run_campaign,
 )
 from repro.campaign.spec import ScenarioPoint, platform_to_dict
@@ -66,17 +65,15 @@ def _points(engine="auto", seeds=(1, 2), kinds=("PD", "PDM", "PDMV")):
 class TestPackingInvisibility:
     def test_packed_records_equal_per_point_records(self):
         points = packed_campaign_points()
-        packed = evaluate_points_packed(points)
+        packed = evaluate_points(points)
         solo = [evaluate_point(p) for p in points]
         assert packed == solo
 
-    def test_run_campaign_packing_toggle_is_invisible(self):
+    def test_run_campaign_packing_is_invisible(self):
         points = _points()
-        on = run_campaign(points, n_workers=1, packing=True)
-        off = run_campaign(points, n_workers=1, packing=False)
-        assert on.records == off.records
-        assert on.n_packed == len(points)
-        assert off.n_packed == 0
+        res = run_campaign(points, n_workers=1)
+        assert res.records == [evaluate_point(p) for p in points]
+        assert res.n_packed == len(points)
 
     def test_records_invariant_across_worker_counts(self):
         points = packed_campaign_points()
@@ -117,7 +114,7 @@ class TestPackingInvisibility:
             fail_stop_in_operations=False,
             engine="auto",
         )
-        (packed_rec,) = evaluate_points_packed([point])
+        (packed_rec,) = evaluate_points([point])
         assert packed_rec["engine"] == "fast-pd"
         assert packed_rec == evaluate_point(point)
 
@@ -151,7 +148,7 @@ class TestExplicitPackedEngine:
 
     def test_solo_packed_point_equals_campaign_packed_point(self):
         point = _points(engine="packed", seeds=(7,), kinds=("PDM",))[0]
-        (via_batch,) = evaluate_points_packed([point])
+        (via_batch,) = evaluate_points([point])
         assert via_batch == evaluate_point(point)
 
 
@@ -161,7 +158,7 @@ class TestGoldenPackedCampaign:
     def test_matches_frozen_fixture(self):
         with open(PACKED_CAMPAIGN_GOLDEN_PATH) as fh:
             golden = json.load(fh)["records"]
-        records = evaluate_points_packed(packed_campaign_points())
+        records = evaluate_points(packed_campaign_points())
         assert len(records) == len(golden)
         for i, (got_rec, want_rec) in enumerate(zip(records, golden)):
             assert set(got_rec) == set(want_rec), f"record {i} columns"
@@ -249,7 +246,6 @@ class TestChunkConfiguration:
         for kw in (
             {"n_workers": 0},
             {"chunksize": 0},
-            {"max_chunk": 0},
             {"pack_rows": 0},
         ):
             with pytest.raises(ValueError):
@@ -273,8 +269,6 @@ class TestChunkConfiguration:
         from repro.campaign.executor import default_chunksize
 
         assert default_chunksize(10_000, 1) == 64
-        assert default_chunksize(10_000, 1, max_chunk=16) == 16
-        assert default_chunksize(3, 1, max_chunk=16) == 1
 
     def test_default_pack_rows_is_sane(self):
         assert DEFAULT_PACK_ROWS >= 10_000
@@ -292,26 +286,10 @@ class TestCliFlags:
                 "--patterns", "6", "--runs", "3",
                 "--workers", "1",
                 "--pack-rows", "100000",
-                "--max-chunk", "8",
             ]
         )
         assert rc == 0
         assert "PD" in capsys.readouterr().out
-
-    def test_campaign_no_pack_matches_packed(self, capsys):
-        from repro.cli import main
-
-        args = [
-            "campaign", "run",
-            "--scenario", "family_comparison",
-            "--set", 'kinds=["PDM"]',
-            "--patterns", "6", "--runs", "3",
-            "--workers", "1",
-        ]
-        assert main(args) == 0
-        packed_out = capsys.readouterr().out
-        assert main(args + ["--no-pack"]) == 0
-        assert capsys.readouterr().out == packed_out
 
     def test_campaign_rejects_bad_chunk_configuration(self):
         from repro.cli import main

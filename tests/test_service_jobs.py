@@ -19,17 +19,13 @@ import pytest
 from repro.campaign.cache import cache_key
 from repro.campaign.executor import (
     evaluate_point,
-    evaluate_points_packed,
+    evaluate_points,
     run_campaign,
 )
+from repro.campaign.planner import bucket_rows, order_buckets, plan_buckets
 from repro.campaign.spec import CampaignSpec, platform_to_dict
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs.fair_share import (
-    FairShare,
-    bucket_rows,
-    order_buckets,
-    plan_job_buckets,
-)
+from repro.service.jobs.fair_share import FairShare
 from repro.service.jobs.manager import (
     TERMINAL_STATES,
     JobManager,
@@ -149,13 +145,13 @@ class TestFairShare:
         items = [(cache_key(p), p) for p in points]
         # Each point carries 12 rows; a 12-row budget -> one bucket
         # per point, and every point appears exactly once.
-        buckets = plan_job_buckets(items, 12)
+        buckets = plan_buckets(items, 12)
         assert len(buckets) == len(points)
         assert sorted(k for b in buckets for k, _ in b) == sorted(
             k for k, _ in items
         )
         # A huge budget packs all six into one mega-batch bucket.
-        assert len(plan_job_buckets(items, 10**6)) == 1
+        assert len(plan_buckets(items, 10**6)) == 1
 
     def test_plan_buckets_groups_non_packable_points(self, tiny_platform):
         analytic = _spec(tiny_platform, engine="analytic")
@@ -171,7 +167,7 @@ class TestFairShare:
             (cache_key(p), p)
             for p in analytic.points() + optimize.points()
         ]
-        buckets = plan_job_buckets(items, 10**6)
+        buckets = plan_buckets(items, 10**6)
         # Analytic points bucket per pattern family; the five optimize
         # points share one (mode, engine) bucket.
         for bucket in buckets:
@@ -185,7 +181,7 @@ class TestFairShare:
 
     def test_plan_buckets_validates_pack_rows(self):
         with pytest.raises(ValueError, match="pack_rows"):
-            plan_job_buckets([], 0)
+            plan_buckets([], 0)
 
     def test_bucket_rows_is_the_mc_row_count(self, tiny_platform):
         spec = _spec(tiny_platform)
@@ -275,7 +271,7 @@ class _FailKind:
         for p in points:
             if p.kind == self.bad_kind:
                 raise ValueError(f"injected failure for {p.kind}")
-        return evaluate_points_packed(points)
+        return evaluate_points(points)
 
 
 class TestJobManager:
@@ -356,7 +352,7 @@ class TestJobManager:
         def gated(points):
             entered.set()
             assert release.wait(30)
-            return evaluate_points_packed(points)
+            return evaluate_points(points)
 
         async def scenario(manager, scheduler):
             job = await manager.submit(spec, "alice")
@@ -397,7 +393,7 @@ class TestJobManager:
             # max_inflight=1 serialises dispatch, so progress is stable
             # while this runs on the worker thread.
             snapshots.append([dict(j.progress()) for j in jobs])
-            return evaluate_points_packed(points)
+            return evaluate_points(points)
 
         async def scenario(manager, scheduler):
             job_a = await manager.submit(spec_a, "alice")
@@ -539,7 +535,7 @@ class TestRestartResume:
 
         def counting(points):
             computed.extend(points)
-            return evaluate_points_packed(points)
+            return evaluate_points(points)
 
         async def scenario(manager, scheduler):
             job = manager.get(job_id)

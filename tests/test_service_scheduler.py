@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.campaign.cache import ResultCache, cache_key
-from repro.campaign.executor import evaluate_point, evaluate_points_packed
+from repro.campaign.executor import evaluate_point, evaluate_points
 from repro.campaign.spec import ScenarioPoint, platform_to_dict
 from repro.service.memcache import LRUCache, TieredCache
 from repro.service.scheduler import MicroBatchScheduler
@@ -36,7 +36,7 @@ class CountingEvaluate:
             raise ValueError("injected engine failure")
         self.points += len(points)
         self.batch_sizes.append(len(points))
-        return evaluate_points_packed(points)
+        return evaluate_points(points)
 
 
 def _point(platform, **overrides):
@@ -280,7 +280,7 @@ class FailingSeed:
         self.calls += 1
         if any(p.seed == self.bad_seed for p in points):
             raise ValueError("injected point failure")
-        return evaluate_points_packed(points)
+        return evaluate_points(points)
 
 
 class TestSettledResolution:
