@@ -10,13 +10,12 @@ Two claims are measured:
   pack, so every one of them goes through the chunked pool.
 """
 
-import os
 import time
 
 import pytest
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.executor import run_campaign
+from repro.campaign.executor import available_cpus, run_campaign
 from repro.campaign.spec import CampaignSpec, ScenarioPoint, platform_to_dict
 from repro.platforms.platform import Platform, default_costs
 
@@ -103,7 +102,7 @@ def test_chunked_vs_unchunked_pool(tiny_platform, once):
         )
         for i in range(256)
     ]
-    workers = min(4, os.cpu_count() or 1)
+    workers = min(4, available_cpus())
 
     t0 = time.perf_counter()
     unchunked = run_campaign(points, n_workers=workers, chunksize=1)

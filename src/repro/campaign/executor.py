@@ -12,13 +12,18 @@ The executor turns a list of scenario points into result records:
    **mega-batches**, everything else into chunks grouped by evaluation
    shape -- many small scenario points per task, amortising the
    per-task submission overhead that a one-future-per-point pool pays;
-4. each bucket is one :func:`evaluate_points` call, in-process or on a
-   :class:`~concurrent.futures.ProcessPoolExecutor`.  A mega-batch is
-   one vectorised
+4. each bucket is one :func:`evaluate_points` call, in-process or, with
+   several workers, on the same :class:`~repro.service.fleet.EvalFleet`
+   process pool the daemon uses.  A mega-batch is one vectorised
    :func:`~repro.simulation.packed_engine.simulate_packed_batch` call,
    and per-point records are bit-identical to solo fast-tier runs (the
    packed engine's draw-identity contract), so packing is invisible to
-   the journal and cache.
+   the journal and cache.  The fleet's crash recovery covers campaigns
+   too: a worker killed mid-run (OOM, segfault) costs a pool rebuild
+   and a bit-identical re-run of the unfinished buckets, and a point
+   that keeps killing workers is bisected out and ends the run with
+   :class:`~repro.service.faults.PoisonPointError`, every other
+   finished point already journaled.
 
 Every completed point is streamed to the journal (append-one-line,
 flushed) the moment it arrives, so an interrupted campaign loses at most
@@ -36,7 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -49,7 +53,12 @@ from typing import (
 )
 
 from repro.campaign.cache import ResultCache, cache_key
-from repro.campaign.planner import MAX_CHUNK, is_packable, plan_buckets
+from repro.campaign.planner import (
+    MAX_CHUNK,
+    Bucket,
+    is_packable,
+    plan_buckets,
+)
 from repro.campaign.spec import (
     CampaignSpec,
     ScenarioPoint,
@@ -474,18 +483,6 @@ def evaluate_points(
     return out  # type: ignore[return-value]
 
 
-def _evaluate_chunk(
-    point_dicts: Sequence[Dict[str, Any]]
-) -> List[Tuple[str, Dict[str, Any]]]:
-    """Worker entry: evaluate one bucket of serialised points."""
-    points = [ScenarioPoint.from_dict(data) for data in point_dicts]
-    records = evaluate_points(points)
-    return [
-        (cache_key(point), record)
-        for point, record in zip(points, records)
-    ]
-
-
 @dataclass
 class CampaignResult:
     """Everything a finished (or resumed) campaign produced.
@@ -617,7 +614,8 @@ def run_campaign(
         recomputed (resume); completed points are appended as they finish.
         Corrupt/truncated lines are skipped (and counted on the result).
     n_workers:
-        Process count for the task pool; default
+        Process count of the worker pool (an
+        :class:`~repro.service.fleet.EvalFleet`); default
         :func:`available_cpus`.
         ``1`` runs in-process (deterministic, no pool) but still journals
         task by task.
@@ -762,32 +760,23 @@ def _execute(
             "chunksize (or the worker count) so every worker gets a chunk"
         )
 
-    def commit(key: str, record: Dict[str, Any]) -> None:
-        resolved[key] = record
-        journal.append(key, record)
-        if cache is not None:
-            cache.put(key, record)
+    def commit(bucket: Bucket, records: List[Dict[str, Any]]) -> None:
+        for (key, _), record in zip(bucket, records):
+            resolved[key] = record
+            journal.append(key, record)
+            if cache is not None:
+                cache.put(key, record)
 
     if workers == 1:
         # In-process and deterministic, but still bucketed: the journal
         # flushes after every bucket (the unit of loss on interruption).
         for bucket in buckets:
-            records = evaluate_points([p for _, p in bucket])
-            for (key, _), record in zip(bucket, records):
-                commit(key, record)
+            commit(bucket, evaluate_points([p for _, p in bucket]))
         return len(todo), n_packed
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = {
-            pool.submit(
-                _evaluate_chunk, [p.to_dict() for _, p in bucket]
-            ): bucket
-            for bucket in buckets
-        }
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                pending.pop(fut)
-                for key, record in fut.result():
-                    commit(key, record)
+    from repro.service.fleet import EvalFleet
+
+    with EvalFleet(workers) as fleet:
+        for bucket, records in fleet.run_buckets(buckets):
+            commit(bucket, records)
     return len(todo), n_packed

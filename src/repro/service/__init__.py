@@ -24,44 +24,3 @@ the batch shapes the engines are fastest at:
 Start a daemon with ``repro serve``; query it with ``repro query`` or
 plain ``curl``.
 """
-
-from repro.service.autotune import (
-    AdaptiveBatchController,
-    AutotuneRunner,
-    ControllerConfig,
-)
-from repro.service.client import EvaluateResult, ServiceClient, ServiceError
-from repro.service.memcache import LRUCache, TieredCache
-from repro.service.protocol import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    PROTOCOL_VERSION,
-    ProtocolError,
-)
-from repro.service.scheduler import MicroBatchScheduler
-from repro.service.server import (
-    BackgroundService,
-    ServiceConfig,
-    ServiceServer,
-    run_service,
-)
-
-__all__ = [
-    "AdaptiveBatchController",
-    "AutotuneRunner",
-    "BackgroundService",
-    "ControllerConfig",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "EvaluateResult",
-    "LRUCache",
-    "MicroBatchScheduler",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "ServiceServer",
-    "TieredCache",
-    "run_service",
-]

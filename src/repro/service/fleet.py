@@ -1,17 +1,20 @@
-"""Resident process fleet behind the micro-batch scheduler.
+"""The process pool: the daemon's resident fleet and campaign workers.
 
 One daemon process tops out at roughly one core of Monte-Carlo: the
 :class:`~repro.service.scheduler.MicroBatchScheduler` evaluates its
 mega-batches on an in-process thread pool, and NumPy holds the GIL for
 only part of each engine call.  :class:`EvalFleet` lifts that ceiling
 by fanning every scheduler batch out to **N resident worker
-processes**:
+processes**.  It is the only process pool in the package:
+``run_campaign`` with several workers runs its planned buckets on an
+``EvalFleet`` too (:meth:`EvalFleet.run_buckets`, which yields each
+bucket as it lands so the campaign journal streams), and so gets the
+same crash recovery.
 
-* The pool is created once at service startup (fork context, the
-  campaign executor's precedent) and stays warm -- each worker keeps
-  its imports, schedule/optimisation memo caches and NumPy buffers
-  across batches, so per-batch cost is IPC plus compute, never
-  interpreter start-up.
+* The pool is created once (fork context) -- at service startup, or
+  per campaign run -- and stays warm: each worker keeps its imports,
+  schedule/optimisation memo caches and NumPy buffers across batches,
+  so per-batch cost is IPC plus compute, never interpreter start-up.
 * Each batch is carved into row-budgeted buckets by the **one planner
   every execution path uses**
   (:func:`repro.campaign.planner.plan_buckets`, also behind
@@ -38,7 +41,8 @@ A worker dying mid-batch (OOM kill, segfault in a native extension, a
 chaos-injected ``kill@N``) breaks the whole ``ProcessPoolExecutor``:
 every in-flight future raises ``BrokenProcessPool`` and the pool never
 accepts work again.  Instead of letting that poison the scheduler
-forever, :meth:`EvalFleet.evaluate`:
+forever, :meth:`EvalFleet.run_buckets` (behind both
+:meth:`EvalFleet.evaluate` and campaign runs):
 
 1. **rebuilds** the pool (fork + warm-up, exactly like startup) and
    **re-executes** the buckets that had not completed -- safe by
@@ -68,10 +72,15 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.campaign.cache import cache_key
 from repro.campaign.executor import DEFAULT_PACK_ROWS
@@ -258,7 +267,7 @@ class EvalFleet:
             pool.shutdown(wait=False, cancel_futures=True)
             message = (
                 f"fleet worker died during warm-up "
-                f"(--eval-procs {self.procs}): {exc!r}. A worker "
+                f"({self.procs} procs): {exc!r}. A worker "
                 "process exited before serving its first batch -- "
                 "check memory limits and engine imports in the worker "
                 "environment"
@@ -385,10 +394,9 @@ class EvalFleet:
                     )
         # Observability: the thread-local sink is armed by the
         # scheduler (same executor thread) only when a request trace
-        # is riding this batch; ``timed`` buckets report per-worker
+        # is riding this batch; its buckets then report per-worker
         # spans through it without touching the records themselves.
         sink = current_sink() if self._obs is not None else None
-        timed = sink is not None
         # Index-keyed items: input position is the reassembly address
         # (cache keys may legitimately repeat within a batch).
         items = [(str(i), p) for i, p in enumerate(points)]
@@ -406,66 +414,13 @@ class EvalFleet:
                     {"buckets": len(buckets)},
                 )
         out: List[Optional[Dict[str, Any]]] = [None] * len(points)
-        # (bucket, crashes-so-far) work list; crashed buckets re-enter
-        # it until their retry budget is spent, then split in half.
-        pending: List[Tuple[Bucket, int]] = [(b, 0) for b in buckets]
-        first_round = True
-        # A dead worker breaks EVERY in-flight future, so a concurrent
-        # crash cannot be blamed on any one bucket -- an innocent
-        # sharing the pool with a poisonous point must not accumulate
-        # strikes toward quarantine.  After the first crash we run one
-        # bucket per round: a bucket that then crashes did it alone,
-        # and only those solo crashes count.
-        serial = False
-        while pending:
-            if serial:
-                round_items, pending = [pending[0]], pending[1:]
-            else:
-                round_items, pending = list(pending), []
-            submitted = [
-                (bucket, crashes, *self._submit_bucket(bucket, timed))
-                for bucket, crashes in round_items
-            ]
-            if (
-                first_round
-                and batch_fault is not None
-                and batch_fault.kill
-            ):
-                self._kill_one_worker()
-            first_round = False
-            solo = len(submitted) == 1
-            for bucket, crashes, generation, future, t_sub in submitted:
-                try:
-                    answer = future.result()
-                except BrokenProcessPool:
-                    self._ensure_rebuilt(generation)
-                    if solo:
-                        pending.extend(
-                            self._plan_retry(bucket, crashes + 1)
-                        )
-                    else:
-                        pending.append((bucket, crashes))
-                    serial = True
-                    continue
-                if timed and isinstance(answer, dict):
-                    records = answer["records"]
-                    sink.add(
-                        "bucket",
-                        t_sub,
-                        time.perf_counter(),
-                        {
-                            "points": len(bucket),
-                            "rows": bucket_rows(bucket),
-                            "worker_pid": answer["pid"],
-                            "worker_eval_ms": round(
-                                1e3 * answer["eval_s"], 3
-                            ),
-                        },
-                    )
-                else:
-                    records = answer
-                for (key, _), record in zip(bucket, records):
-                    out[int(key)] = record
+        for bucket, records in self.run_buckets(
+            buckets,
+            sink=sink,
+            kill=batch_fault is not None and batch_fault.kill,
+        ):
+            for (key, _), record in zip(bucket, records):
+                out[int(key)] = record
         with self._lock:
             self._counters["batches"] += 1
             self._counters["buckets"] += len(buckets)
@@ -479,6 +434,88 @@ class EvalFleet:
                 self._counters["max_batch_buckets"], len(buckets)
             )
         return out  # type: ignore[return-value]
+
+    def run_buckets(
+        self,
+        buckets: Sequence[Bucket],
+        *,
+        sink: Optional[Any] = None,
+        kill: bool = False,
+    ) -> Iterator[Tuple[Bucket, List[Dict[str, Any]]]]:
+        """Evaluate planned buckets; yield ``(bucket, records)`` as each lands.
+
+        Buckets come back in completion order, a retried or bisected
+        bucket as the pieces that finally answered, so a caller can
+        stream every finished bucket (a campaign journals it) before
+        the rest are done.  A worker crash rebuilds the pool and
+        re-executes what had not answered; a point that keeps crashing
+        workers raises :class:`PoisonPointError` after every other
+        bucket ahead of it has been yielded.
+
+        ``sink`` (a request trace riding the batch) receives one
+        ``bucket`` span per answered bucket; ``kill`` is the chaos
+        ``kill@N`` hook, fired once the first round is submitted.
+        """
+        timed = sink is not None
+        # (bucket, crashes-so-far) work list; crashed buckets re-enter
+        # it until their retry budget is spent, then split in half.
+        pending: List[Tuple[Bucket, int]] = [(b, 0) for b in buckets]
+        # A dead worker breaks EVERY in-flight future, so a concurrent
+        # crash cannot be blamed on any one bucket -- an innocent
+        # sharing the pool with a poisonous point must not accumulate
+        # strikes toward quarantine.  After the first crash we run one
+        # bucket per round: a bucket that then crashes did it alone,
+        # and only those solo crashes count.
+        serial = False
+        while pending:
+            if serial:
+                round_items, pending = [pending[0]], pending[1:]
+            else:
+                round_items, pending = list(pending), []
+            in_flight = {}
+            for bucket, crashes in round_items:
+                generation, future, t_sub = self._submit_bucket(
+                    bucket, timed
+                )
+                in_flight[future] = (bucket, crashes, generation, t_sub)
+            if kill:
+                self._kill_one_worker()
+                kill = False
+            solo = len(in_flight) == 1
+            while in_flight:
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    bucket, crashes, generation, t_sub = in_flight.pop(
+                        future
+                    )
+                    try:
+                        answer = future.result()
+                    except BrokenProcessPool:
+                        self._ensure_rebuilt(generation)
+                        if solo:
+                            pending.extend(
+                                self._plan_retry(bucket, crashes + 1)
+                            )
+                        else:
+                            pending.append((bucket, crashes))
+                        serial = True
+                        continue
+                    if timed and isinstance(answer, dict):
+                        sink.add(
+                            "bucket",
+                            t_sub,
+                            time.perf_counter(),
+                            {
+                                "points": len(bucket),
+                                "rows": bucket_rows(bucket),
+                                "worker_pid": answer["pid"],
+                                "worker_eval_ms": round(
+                                    1e3 * answer["eval_s"], 3
+                                ),
+                            },
+                        )
+                        answer = answer["records"]
+                    yield bucket, answer
 
     def _plan_retry(
         self, bucket: Bucket, crashes: int

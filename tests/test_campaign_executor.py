@@ -1,12 +1,13 @@
 """Executor tests: cache/journal provenance, resume, and equivalence
 of campaign results with direct Monte-Carlo calls."""
 
+import functools
 import json
 import os
 
 import pytest
 
-from repro.campaign.cache import ResultCache
+from repro.campaign.cache import ResultCache, cache_key
 from repro.campaign.executor import (
     available_cpus,
     default_chunksize,
@@ -16,6 +17,8 @@ from repro.campaign.executor import (
 from repro.campaign.report import journal_records
 from repro.campaign.spec import CampaignSpec, ScenarioPoint, platform_to_dict
 from repro.core.builders import PatternKind
+from repro.service.faults import FaultInjector, FaultPlan, PoisonPointError
+from repro.service.fleet import EvalFleet, _evaluate_bucket
 from repro.simulation.runner import simulate_optimal_pattern
 
 
@@ -295,18 +298,16 @@ class TestDefaultWorkers:
     def test_worker_count_capped_at_points(self, tiny_platform, monkeypatch):
         """Explicit workers beyond the outstanding points fork one
         process per point, no more."""
-        import repro.campaign.executor as executor_mod
+        import repro.service.fleet as fleet_mod
 
         sizes = []
-        real_pool = executor_mod.ProcessPoolExecutor
+        real_fleet = fleet_mod.EvalFleet
 
-        def spy_pool(max_workers):
-            sizes.append(max_workers)
-            return real_pool(max_workers=max_workers)
+        def spy_fleet(procs, **kwargs):
+            sizes.append(procs)
+            return real_fleet(procs, **kwargs)
 
-        monkeypatch.setattr(
-            "repro.campaign.executor.ProcessPoolExecutor", spy_pool
-        )
+        monkeypatch.setattr("repro.service.fleet.EvalFleet", spy_fleet)
         points = _points(tiny_platform)
         result = run_campaign(points, n_workers=64)
         assert sizes == [len(points)]
@@ -321,10 +322,102 @@ class TestDefaultWorkers:
         def no_pool(*args, **kwargs):
             raise AssertionError("forked a worker pool on one CPU")
 
-        monkeypatch.setattr(
-            "repro.campaign.executor.ProcessPoolExecutor", no_pool
-        )
+        monkeypatch.setattr("repro.service.fleet.EvalFleet", no_pool)
         points = _points(tiny_platform)
         result = run_campaign(points)
         assert result.n_computed == len(points)
         assert result.records == run_campaign(points, n_workers=1).records
+
+
+#: Marker file of :func:`_crash_once_then_evaluate`; set per test
+#: before the pool forks, so every worker inherits it.
+_CRASH_MARKER = None
+
+
+def _crash_once_then_evaluate(*args):
+    """Fleet worker entry whose first caller, in any worker, hard-exits.
+
+    ``O_EXCL`` makes exactly one caller create the marker -- that
+    worker dies like an OOM kill; every later call evaluates normally.
+    """
+    try:
+        os.close(os.open(_CRASH_MARKER, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return _evaluate_bucket(*args)
+    os._exit(19)
+
+
+def _crash_points(tiny_platform, poison_seed=666):
+    """Packed mega-batch points plus per-point step chunks, one seed of
+    which is ``poison_seed``: several buckets in flight at once."""
+    pdict = platform_to_dict(tiny_platform)
+    packed = [
+        ScenarioPoint(
+            mode="simulate",
+            kind=("PD", "PDMV")[i % 2],
+            platform=pdict,
+            n_patterns=3,
+            n_runs=2,
+            seed=poison_seed - 3 + i,
+        )
+        for i in range(8)
+    ]
+    step = [
+        ScenarioPoint(
+            mode="simulate",
+            kind="PDM",
+            platform=pdict,
+            n_patterns=2,
+            n_runs=2,
+            seed=900 + i,
+            engine="step",
+        )
+        for i in range(2)
+    ]
+    return packed + step
+
+
+class TestCampaignCrashRecovery:
+    """Campaign workers run on EvalFleet and inherit its crash recovery."""
+
+    def test_worker_crash_rebuilds_and_matches_serial(
+        self, tiny_platform, tmp_path, monkeypatch
+    ):
+        marker = tmp_path / "crashed"
+        monkeypatch.setitem(globals(), "_CRASH_MARKER", str(marker))
+        monkeypatch.setattr(
+            "repro.service.fleet._evaluate_bucket", _crash_once_then_evaluate
+        )
+        points = _crash_points(tiny_platform)
+        crashed = run_campaign(points, n_workers=2)
+        assert marker.exists(), "no worker crashed"
+        assert crashed.n_computed == len(points)
+        assert crashed.records == run_campaign(points, n_workers=1).records
+
+    def test_poison_point_ends_run_with_journal_intact(
+        self, tiny_platform, tmp_path, monkeypatch
+    ):
+        points = _crash_points(tiny_platform)
+        keys = [cache_key(p) for p in points]
+        (poison_key,) = [k for k, p in zip(keys, points) if p.seed == 666]
+        journal = tmp_path / "j.jsonl"
+        monkeypatch.setattr(
+            "repro.service.fleet.EvalFleet",
+            functools.partial(
+                EvalFleet,
+                injector=FaultInjector(FaultPlan.parse("poison@666")),
+            ),
+        )
+        with pytest.raises(PoisonPointError, match=poison_key):
+            run_campaign(points, journal_path=str(journal), n_workers=2)
+        journaled = [
+            json.loads(line)["key"]
+            for line in journal.read_text().splitlines()
+        ]
+        assert sorted(journaled) == sorted(set(keys) - {poison_key})
+
+        monkeypatch.undo()
+        resumed = run_campaign(points, journal_path=str(journal), n_workers=2)
+        assert resumed.n_from_journal == len(points) - 1
+        assert resumed.n_computed == 1
+        assert resumed.records == run_campaign(points, n_workers=1).records

@@ -97,9 +97,7 @@ class TestStepEnginePool:
         def no_pool(*args, **kwargs):
             raise AssertionError("forked a worker pool for one worker")
 
-        monkeypatch.setattr(
-            "repro.campaign.executor.ProcessPoolExecutor", no_pool
-        )
+        monkeypatch.setattr("repro.service.fleet.EvalFleet", no_pool)
         points = _points(
             tiny_platform, (2, 3), engine="step", n_patterns=3, n_runs=4
         )
@@ -151,9 +149,7 @@ class TestDefaultWorkers:
         def no_pool(*args, **kwargs):
             raise AssertionError("forked a worker pool on one CPU")
 
-        monkeypatch.setattr(
-            "repro.campaign.executor.ProcessPoolExecutor", no_pool
-        )
+        monkeypatch.setattr("repro.service.fleet.EvalFleet", no_pool)
         points = _points(tiny_platform, (7, 8), engine="step")
         result = run_campaign(points)
         _assert_matches_direct(result.records, points, tiny_platform)
