@@ -4,10 +4,11 @@ Two claims are measured:
 
 * a fully-cached re-run of a >= 100-point campaign costs (almost)
   nothing -- the acceptance bar is a >= 10x wall-time reduction;
-* batching many small scenario points per pool task (the ``chunksize``
-  heuristic) is never slower than one-future-per-point submission, and
-  records stay bit-identical.  Step-engine points are used: they never
-  pack, so every one of them goes through the chunked pool.
+* batching many small scenario points per pool task (the planner's
+  chunk size, about four chunks per worker) is never slower than
+  one-point buckets on the same pool, and records stay bit-identical.
+  Step-engine points are used: they never pack, so every one of them
+  goes through the chunked pool.
 """
 
 import time
@@ -18,6 +19,7 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.executor import available_cpus, run_campaign
 from repro.campaign.spec import CampaignSpec, ScenarioPoint, platform_to_dict
 from repro.platforms.platform import Platform, default_costs
+from repro.service.fleet import EvalFleet
 
 
 @pytest.fixture
@@ -105,14 +107,20 @@ def test_chunked_vs_unchunked_pool(tiny_platform, once):
     workers = min(4, available_cpus())
 
     t0 = time.perf_counter()
-    unchunked = run_campaign(points, n_workers=workers, chunksize=1)
+    unchunked = [None] * len(points)
+    with EvalFleet(workers) as fleet:
+        for bucket, records in fleet.run_buckets(
+            [[(str(i), p)] for i, p in enumerate(points)]
+        ):
+            ((key, _),) = bucket
+            (unchunked[int(key)],) = records
     unchunked_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     chunked = once(run_campaign, points, n_workers=workers)
     chunked_time = time.perf_counter() - t0
 
-    assert chunked.records == unchunked.records
+    assert chunked.records == unchunked
     print(
         f"\nunchunked {unchunked_time * 1e3:.1f} ms, "
         f"chunked {chunked_time * 1e3:.1f} ms "

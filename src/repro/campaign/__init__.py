@@ -23,7 +23,6 @@ Quickstart
 from repro.campaign.cache import CacheStats, ResultCache, cache_key
 from repro.campaign.executor import (
     CampaignResult,
-    default_chunksize,
     evaluate_point,
     run_campaign,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "run_campaign",
     "CampaignResult",
     "evaluate_point",
-    "default_chunksize",
     # report
     "rows_from_records",
     "union_columns",

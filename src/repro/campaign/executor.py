@@ -10,7 +10,8 @@ The executor turns a list of scenario points into result records:
    jobs API and the daemon's process fleet use): packable *simulate*
    points (``auto`` or ``packed`` engine requests) into struct-of-arrays
    **mega-batches**, everything else into chunks grouped by evaluation
-   shape -- many small scenario points per task, amortising the
+   shape and sized by the planner from the worker count (about four
+   per worker) -- many small scenario points per task, amortising the
    per-task submission overhead that a one-future-per-point pool pays;
 4. each bucket is one :func:`evaluate_points` call, in-process or, with
    several workers, on the same :class:`~repro.service.fleet.EvalFleet`
@@ -54,7 +55,7 @@ from typing import (
 
 from repro.campaign.cache import ResultCache, cache_key
 from repro.campaign.planner import (
-    MAX_CHUNK,
+    DEFAULT_PACK_ROWS,
     Bucket,
     is_packable,
     plan_buckets,
@@ -67,15 +68,11 @@ from repro.campaign.spec import (
 )
 from repro.io import scan_jsonl
 
-#: Default row budget (pattern instances, summed over points) of one
-#: packed mega-batch.  ~1M rows keep the packed engine's struct-of-arrays
-#: working set around a hundred MB; raise it for fewer, larger batches.
-DEFAULT_PACK_ROWS = 1_000_000
 
 class CampaignConfigError(ValueError):
     """A campaign was configured inconsistently (flags, not computation).
 
-    Raised by the pre-flight validations (worker/chunk/pack budgets) so
+    Raised by the pre-flight validations (worker count, pack budget) so
     front ends can distinguish configuration mistakes -- reportable as a
     one-line message -- from computation errors that deserve a full
     traceback.
@@ -93,21 +90,6 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - no affinity API
         return os.cpu_count() or 1
-
-
-def default_chunksize(n_points: int, n_workers: int) -> int:
-    """Points per submitted task: ~4 tasks per worker, capped at
-    :data:`~repro.campaign.planner.MAX_CHUNK`.
-
-    Four tasks per worker keep the pool load-balanced while cutting the
-    per-task submission overhead of small points; the cap keeps journal
-    streaming responsive.
-    """
-    if n_points <= 0:
-        return 1
-    workers = max(1, n_workers)
-    size = max(1, -(-n_points // (workers * 4)))
-    return min(MAX_CHUNK, size)
 
 
 class _PointBuilds:
@@ -596,7 +578,6 @@ def run_campaign(
     cache: Union[ResultCache, str, None] = None,
     journal_path: Optional[str] = None,
     n_workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
     pack_rows: Optional[int] = None,
 ) -> CampaignResult:
     """Run (or resume) a campaign and return its assembled records.
@@ -618,11 +599,7 @@ def run_campaign(
         :class:`~repro.service.fleet.EvalFleet`); default
         :func:`available_cpus`.
         ``1`` runs in-process (deterministic, no pool) but still journals
-        task by task.
-    chunksize:
-        Points per submitted task of non-packable points; default
-        :func:`default_chunksize`.  Validated against the worker count:
-        an explicit chunksize that leaves explicit workers idle raises.
+        task by task.  The planner sizes the buckets from it.
     pack_rows:
         Row budget (summed ``n_runs * n_patterns``) of one packed
         mega-batch; default :data:`DEFAULT_PACK_ROWS`.
@@ -634,10 +611,6 @@ def run_campaign(
     if n_workers is not None and n_workers < 1:
         raise CampaignConfigError(
             f"n_workers must be >= 1, got {n_workers}"
-        )
-    if chunksize is not None and chunksize < 1:
-        raise CampaignConfigError(
-            f"chunksize must be >= 1, got {chunksize}"
         )
     if pack_rows is not None and pack_rows < 1:
         raise CampaignConfigError(
@@ -690,7 +663,6 @@ def run_campaign(
             journal,
             cache,
             n_workers,
-            chunksize,
             pack_rows,
         )
     finally:
@@ -719,7 +691,6 @@ def _execute(
     journal: Journal,
     cache: Optional[ResultCache],
     n_workers: Optional[int],
-    chunksize: Optional[int],
     pack_rows: Optional[int],
 ) -> Tuple[int, int]:
     """Evaluate the outstanding points, streaming results as they land.
@@ -728,37 +699,14 @@ def _execute(
     """
     if not todo:
         return 0, 0
-    explicit_workers = n_workers is not None
     workers = n_workers if n_workers is not None else available_cpus()
     workers = max(1, min(workers, len(todo)))
-
-    n_packed = sum(1 for _, p in todo if is_packable(p))
-    n_rest = len(todo) - n_packed
-    size = (
-        chunksize
-        if chunksize is not None
-        else default_chunksize(n_rest, workers)
-    )
     buckets = plan_buckets(
         todo,
         pack_rows if pack_rows is not None else DEFAULT_PACK_ROWS,
         workers=workers,
-        chunk=size,
     )
-    n_chunks = sum(1 for b in buckets if not is_packable(b[0][1]))
-    if (
-        chunksize is not None
-        and explicit_workers
-        and workers > 1
-        and n_rest >= workers
-        and n_chunks < workers
-    ):
-        raise CampaignConfigError(
-            f"chunksize {chunksize} splits {n_rest} per-point tasks "
-            f"into only {n_chunks} chunks, leaving "
-            f"{workers - n_chunks} of {workers} workers idle; lower "
-            "chunksize (or the worker count) so every worker gets a chunk"
-        )
+    n_packed = sum(1 for _, p in todo if is_packable(p))
 
     def commit(bucket: Bucket, records: List[Dict[str, Any]]) -> None:
         for (key, _), record in zip(bucket, records):

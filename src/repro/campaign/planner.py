@@ -1,10 +1,11 @@
-"""The bucket planner shared by campaigns, jobs and the process fleet.
+"""The bucket planner: the one work split of campaigns, jobs and the fleet.
 
 A **bucket** is one unit of batch evaluation: ``(key, point)`` pairs
 that one :func:`~repro.campaign.executor.evaluate_points` call answers
 together.  :func:`plan_buckets` carves a list of points into buckets the
 same way for every path -- ``run_campaign`` tasks, jobs-API buckets and
-:class:`~repro.service.fleet.EvalFleet` worker buckets:
+:class:`~repro.service.fleet.EvalFleet` worker buckets -- and is the
+only place that sizes them (no caller passes a chunk size):
 
 * packable simulate points (``auto``/``packed`` engine requests) are
   grouped by compatibility and split under a row budget into packed
@@ -12,7 +13,8 @@ same way for every path -- ``run_campaign`` tasks, jobs-API buckets and
   ``workers``;
 * every other point is grouped by its evaluation shape -- analytic
   points per pattern family (one :class:`~repro.core.batch.PlatformGrid`
-  each), the rest by (mode, engine) -- and chunked;
+  each), the rest by (mode, engine) -- and chunked about four chunks
+  per worker, at most :data:`MAX_CHUNK` points each;
 * the buckets come back longest-processing-time first (the classic
   makespan heuristic): big dense buckets start early and the ragged
   tail fills in behind them.
@@ -32,6 +34,11 @@ from repro.campaign.spec import ScenarioPoint
 #: Upper bound on non-packable points per bucket (keeps journal
 #: streaming responsive: a bucket is the unit of loss on interruption).
 MAX_CHUNK = 64
+
+#: Default row budget (pattern instances, summed over points) of one
+#: packed mega-batch.  ~1M rows keep the packed engine's struct-of-arrays
+#: working set around a hundred MB; raise it for fewer, larger batches.
+DEFAULT_PACK_ROWS = 1_000_000
 
 #: Engine requests the planner may route through the packed engine.
 #: ``auto`` is packable because packed results are bit-identical to the
@@ -71,7 +78,6 @@ def plan_buckets(
     pack_rows: int,
     *,
     workers: int = 1,
-    chunk: int = MAX_CHUNK,
 ) -> List[Bucket]:
     """Carve ``(key, point)`` items into buckets, in LPT order.
 
@@ -79,7 +85,9 @@ def plan_buckets(
     with ``workers > 1`` the budget shrinks to
     ``ceil(packable_rows / workers)`` so one plan spreads across the
     pool.  Other points are grouped by evaluation shape and split into
-    buckets of at most ``chunk`` points.  Every item lands in exactly
+    chunks of ``min(MAX_CHUNK, ceil(non_packable / (4 * workers)))``
+    points: about four chunks per worker keep the pool load-balanced
+    while amortising per-task overhead.  Every item lands in exactly
     one bucket.
     """
     if pack_rows < 1:
@@ -100,6 +108,8 @@ def plan_buckets(
         total_rows = sum(point_rows(p) for _, p in packable)
         budget = min(pack_rows, max(1, -(-total_rows // workers)))
     buckets = _plan_mega_batches(packable, budget)
+    n_rest = sum(len(group_items) for group_items in rest.values())
+    chunk = min(MAX_CHUNK, max(1, -(-n_rest // (4 * max(1, workers)))))
     for group_items in rest.values():
         for i in range(0, len(group_items), chunk):
             buckets.append(group_items[i : i + chunk])
@@ -128,10 +138,8 @@ def _plan_mega_batches(
     size): rows of one mega-batch then share the semantics setting, the
     record engine label and the per-run reduction shape.  Within a
     bucket, points fill consecutive packs up to ``pack_rows`` instances
-    each (:func:`repro.simulation.packed_engine.plan_packs`).
+    each (:func:`plan_packs`).
     """
-    from repro.simulation.packed_engine import plan_packs
-
     groups: Dict[Tuple, Bucket] = {}
     for key, point in packable:
         group = (
@@ -147,3 +155,30 @@ def _plan_mega_batches(
         for pack in plan_packs(sizes, pack_rows):
             batches.append([group_points[i] for i in pack])
     return batches
+
+
+def plan_packs(sizes: Sequence[int], max_rows: int) -> List[List[int]]:
+    """Split job indices into consecutive packs under a row budget.
+
+    Greedy first-fit in input order: each pack holds consecutive jobs
+    whose instance counts sum to at most ``max_rows`` (a single
+    oversized job still gets its own pack), bounding the packed batch's
+    working-set memory.
+    """
+    if max_rows <= 0:
+        raise ValueError(f"max_rows must be positive, got {max_rows}")
+    packs: List[List[int]] = []
+    current: List[int] = []
+    used = 0
+    for i, size in enumerate(sizes):
+        if size <= 0:
+            raise ValueError(f"job {i} has non-positive size {size}")
+        if current and used + size > max_rows:
+            packs.append(current)
+            current = []
+            used = 0
+        current.append(i)
+        used += size
+    if current:
+        packs.append(current)
+    return packs

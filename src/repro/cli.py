@@ -270,11 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process count (default: all cores)",
     )
     p.add_argument(
-        "--chunksize", type=int, default=None,
-        help="scenario points per submitted task (default: heuristic; "
-        "validated against --workers)",
-    )
-    p.add_argument(
         "--pack-rows", type=int, default=None,
         help="row budget (n_runs x n_patterns summed) per packed "
         "mega-batch (default: 1000000)",
@@ -835,7 +830,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             cache=args.cache_dir,
             journal_path=args.journal,
             n_workers=args.workers,
-            chunksize=args.chunksize,
             pack_rows=args.pack_rows,
         )
     except CampaignConfigError as exc:
@@ -1411,75 +1405,48 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "simulate":
-        from repro.core.builders import PatternKind
-        from repro.simulation.runner import simulate_optimal_pattern
+        from repro.campaign.executor import evaluate_point
+        from repro.campaign.spec import ScenarioPoint, platform_to_dict
 
-        kind = next(k for k in PatternKind if k.value == args.pattern)
-        platform = get_platform(args.platform)
-        if args.engine == "analytic":
-            from repro.core.batch import evaluate_analytic
-
-            rec = evaluate_analytic(kind, platform)
-            rows = [
-                {
-                    "pattern": kind.value,
-                    "platform": platform.name,
-                    "engine": "analytic",
-                    "predicted": rec["predicted"],
-                    "simulated": rec["simulated"],
-                    "divergence": rec["divergence"],
-                    "H_numeric": rec["H_numeric"],
-                    "W*_hours": rec["W*_hours"],
-                    "n*": rec["n*"],
-                    "m*": rec["m*"],
-                }
-            ]
-            _emit(
-                rows,
-                format_table(
-                    rows,
-                    title=f"Analytic model: {kind.value} on "
-                    f"{platform.name} (exact recursion, no sampling)",
-                ),
-                args,
-            )
-            return 0
         n_pat, n_runs = _mc_sizes(args, 100, 50)
-        res = simulate_optimal_pattern(
-            kind,
-            platform,
-            n_patterns=n_pat,
-            n_runs=n_runs,
-            seed=args.seed if args.seed is not None else 20160601,
-            engine=args.engine,
+        rec = evaluate_point(
+            ScenarioPoint(
+                mode="simulate",
+                kind=args.pattern,
+                platform=platform_to_dict(get_platform(args.platform)),
+                n_patterns=n_pat,
+                n_runs=n_runs,
+                seed=args.seed if args.seed is not None else 20160601,
+                engine=args.engine,
+            )
         )
-        agg = res.aggregated
-        lo, hi = agg.overhead_ci95()
+        if args.engine == "analytic":
+            fields = ["divergence", "H_numeric", "W*_hours", "n*", "m*"]
+            title = (
+                f"Analytic model: {rec['kind']} on {rec['platform_name']} "
+                "(exact recursion, no sampling)"
+            )
+        else:
+            fields = [
+                "ci95_low", "ci95_high", "disk_ckpts_per_hour",
+                "mem_ckpts_per_hour", "verifs_per_hour",
+                "disk_recoveries_per_day", "mem_recoveries_per_day",
+            ]
+            title = (
+                f"Simulation: {rec['kind']} on {rec['platform_name']} "
+                f"({n_runs} runs x {n_pat} patterns)"
+            )
         rows = [
             {
-                "pattern": kind.value,
-                "platform": platform.name,
-                "engine": res.engine,
-                "predicted": res.predicted_overhead,
-                "simulated": agg.mean_overhead,
-                "ci95_low": lo,
-                "ci95_high": hi,
-                "disk_ckpts_per_hour": agg.rates_per_hour["disk_checkpoints"],
-                "mem_ckpts_per_hour": agg.rates_per_hour["memory_checkpoints"],
-                "verifs_per_hour": agg.rates_per_hour["verifications"],
-                "disk_recoveries_per_day": agg.rates_per_day["disk_recoveries"],
-                "mem_recoveries_per_day": agg.rates_per_day["memory_recoveries"],
+                "pattern": rec["kind"],
+                "platform": rec["platform_name"],
+                "engine": rec["engine"],
+                "predicted": rec["predicted"],
+                "simulated": rec["simulated"],
+                **{f: rec[f] for f in fields},
             }
         ]
-        _emit(
-            rows,
-            format_table(
-                rows,
-                title=f"Simulation: {kind.value} on {platform.name} "
-                f"({n_runs} runs x {n_pat} patterns)",
-            ),
-            args,
-        )
+        _emit(rows, format_table(rows, title=title), args)
         return 0
 
     if args.command == "makespan":

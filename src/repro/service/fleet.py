@@ -15,12 +15,13 @@ same crash recovery.
   per campaign run -- and stays warm: each worker keeps its imports,
   schedule/optimisation memo caches and NumPy buffers across batches,
   so per-batch cost is IPC plus compute, never interpreter start-up.
-* Each batch is carved into row-budgeted buckets by the **one planner
-  every execution path uses**
-  (:func:`repro.campaign.planner.plan_buckets`, also behind
-  ``run_campaign`` and the jobs API): compatibility bucketing plus
-  row-budget splitting, with the budget spread across ``procs`` so one
-  batch fills the whole fleet instead of one worker's default budget.
+* Each batch is carved into buckets by the **one planner every
+  execution path uses** (:func:`repro.campaign.planner.plan_buckets`,
+  also behind ``run_campaign`` and the jobs API), called with
+  ``workers=procs``: packable points are row-budgeted with the budget
+  spread across the fleet, and other points (explicit tiers, analytic,
+  optimize) are chunked about four per process, so one batch fills the
+  whole fleet instead of one worker.
 * Workers evaluate through
   :func:`~repro.campaign.executor.evaluate_points`, whose per-point
   records are **bit-identical** to solo
@@ -83,8 +84,8 @@ from contextlib import suppress
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.campaign.cache import cache_key
-from repro.campaign.executor import DEFAULT_PACK_ROWS
 from repro.campaign.planner import (
+    DEFAULT_PACK_ROWS,
     Bucket,
     bucket_rows,
     plan_buckets,
@@ -230,6 +231,9 @@ class EvalFleet:
             "bisections": 0,
             "quarantined_points": 0,
         }
+        # Forked workers inherit the parent's modules: importing the
+        # engines here, once, keeps them out of every worker's warm-up.
+        _warm_worker()
         self._pool: Optional[ProcessPoolExecutor] = self._make_pool(
             at_startup=True
         )

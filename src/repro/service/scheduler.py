@@ -53,7 +53,7 @@ from typing import (
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.campaign.cache import cache_key
-from repro.campaign.planner import point_rows
+from repro.campaign.planner import DEFAULT_PACK_ROWS, point_rows
 from repro.campaign.spec import ScenarioPoint
 from repro.service.faults import FleetUnavailableError
 from repro.service.memcache import TieredCache
@@ -68,10 +68,6 @@ from repro.service.obs import (
 #: issued "at the same time" (one client fan-out, a burst of users)
 #: land in one batch; short enough to be invisible next to engine time.
 DEFAULT_WINDOW_MS = 5.0
-
-#: Default row budget per batch (summed ``n_patterns * n_runs``);
-#: mirrors the campaign executor's mega-batch budget.
-DEFAULT_PACK_ROWS = 1_000_000
 
 #: Default evaluation thread count.  Two lets one batch evaluate while
 #: the next collects; the NumPy kernels release the GIL so this is real

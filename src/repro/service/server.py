@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro._version import __version__
-from repro.campaign.planner import point_rows
+from repro.campaign.planner import DEFAULT_PACK_ROWS, point_rows
 from repro.service.admission import (
     ANONYMOUS_CLIENT,
     AdmissionConfig,
@@ -84,7 +84,6 @@ from repro.service.protocol import (
 from repro.service.fleet import EvalFleet
 from repro.service.scheduler import (
     DEFAULT_EVAL_WORKERS,
-    DEFAULT_PACK_ROWS,
     DEFAULT_WINDOW_MS,
     MicroBatchScheduler,
 )

@@ -40,6 +40,7 @@ from repro.simulation.model import (
     OP_MEM_CKPT,
     OP_VERIFY,
     OpSchedule,
+    _op_schedule_cached,
     detection_probability,
 )
 from repro.simulation.stats import COUNTER_FIELDS, SimulationStats
@@ -151,7 +152,7 @@ def _schedule_arrays_cached(
     C_M: float,
     C_D: float,
 ) -> ScheduleArrays:
-    sched = _op_schedule_for(pattern, V, V_star, r, C_M, C_D)
+    sched = _op_schedule_cached(pattern, V, V_star, r, C_M, C_D)
     n_ops = sched.n_ops
     is_comp = sched.kinds == OP_COMPUTE
     is_ver = sched.kinds == OP_VERIFY
@@ -173,19 +174,6 @@ def _schedule_arrays_cached(
         n_guar_pre=_prefix((is_ver & sched.guaranteed).astype(np.float64)),
         n_mem_pre=_prefix((sched.kinds == OP_MEM_CKPT).astype(np.float64)),
     )
-
-
-def _op_schedule_for(
-    pattern: Pattern,
-    V: float,
-    V_star: float,
-    r: float,
-    C_M: float,
-    C_D: float,
-) -> OpSchedule:
-    from repro.simulation.model import _op_schedule_cached
-
-    return _op_schedule_cached(pattern, V, V_star, r, C_M, C_D)
 
 
 def schedule_arrays(pattern: Pattern, platform: Platform) -> ScheduleArrays:

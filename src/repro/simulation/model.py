@@ -254,6 +254,12 @@ def _op_schedule_cached(
     C_M: float,
     C_D: float,
 ) -> OpSchedule:
+    """Memoised :meth:`OpSchedule.from_pattern` (read-only arrays).
+
+    The schedule depends only on the pattern shape and the cost vector,
+    not on the error rates, so one frozen instance per process serves
+    every point that shares them.
+    """
     from repro.platforms.platform import ResilienceCosts
 
     sched = OpSchedule.from_pattern(
@@ -280,22 +286,3 @@ def _op_schedule_cached(
         arr.setflags(write=False)
     return sched
 
-
-def op_schedule(pattern: Pattern, platform: Platform) -> OpSchedule:
-    """Memoised :meth:`OpSchedule.from_pattern` (read-only arrays).
-
-    The schedule only depends on the pattern shape and the platform cost
-    vector, not on the error rates; batch engines resolve the same
-    (pattern, costs) pair once per call, so sharing one frozen instance
-    per process turns per-point schedule construction into a dictionary
-    lookup.  Callers must treat the arrays as immutable (they are marked
-    non-writeable).
-    """
-    return _op_schedule_cached(
-        pattern,
-        platform.V,
-        platform.V_star,
-        platform.r,
-        platform.C_M,
-        platform.C_D,
-    )

@@ -586,32 +586,3 @@ def simulate_packed_batch(
         )
     return out
 
-
-def plan_packs(
-    sizes: Sequence[int],
-    max_rows: int,
-) -> List[List[int]]:
-    """Split job indices into consecutive packs under a row budget.
-
-    Greedy first-fit in input order: each pack holds consecutive jobs
-    whose instance counts sum to at most ``max_rows`` (a single
-    oversized job still gets its own pack).  Used by the campaign
-    planner to bound the packed batch's working-set memory.
-    """
-    if max_rows <= 0:
-        raise ValueError(f"max_rows must be positive, got {max_rows}")
-    packs: List[List[int]] = []
-    current: List[int] = []
-    used = 0
-    for i, size in enumerate(sizes):
-        if size <= 0:
-            raise ValueError(f"job {i} has non-positive size {size}")
-        if current and used + size > max_rows:
-            packs.append(current)
-            current = []
-            used = 0
-        current.append(i)
-        used += size
-    if current:
-        packs.append(current)
-    return packs

@@ -51,3 +51,24 @@ def tiny_platform() -> Platform:
         lambda_s=3e-4,
         costs=default_costs(C_D=20.0, C_M=2.0),
     )
+
+
+@pytest.fixture
+def chunk_sizes():
+    """``chunk_sizes(n, workers)``: bucket sizes the planner cuts ``n``
+    non-packable points into for ``workers`` workers, largest first."""
+    from repro.campaign.planner import DEFAULT_PACK_ROWS, plan_buckets
+    from repro.campaign.spec import ScenarioPoint, platform_to_dict
+
+    point = ScenarioPoint(
+        mode="optimize", kind="PD", platform=platform_to_dict(hera())
+    )
+
+    def sizes(n_points: int, workers: int):
+        items = [(str(i), point) for i in range(n_points)]
+        return [
+            len(b)
+            for b in plan_buckets(items, DEFAULT_PACK_ROWS, workers=workers)
+        ]
+
+    return sizes

@@ -10,7 +10,6 @@ import pytest
 from repro.campaign.cache import ResultCache, cache_key
 from repro.campaign.executor import (
     available_cpus,
-    default_chunksize,
     evaluate_point,
     run_campaign,
 )
@@ -39,17 +38,21 @@ def _points(tiny_platform, kinds=("PD", "PDM", "PDMV"), seed=13):
 
 
 class TestChunksize:
-    def test_small_campaign_full_parallelism(self):
-        assert default_chunksize(4, 8) == 1
+    """The planner's chunk size: ~4 chunks per worker, capped at 64."""
 
-    def test_large_campaign_batches(self):
-        assert default_chunksize(1000, 4) == 63
+    def test_small_campaign_full_parallelism(self, chunk_sizes):
+        assert chunk_sizes(4, 8) == [1, 1, 1, 1]
 
-    def test_capped(self):
-        assert default_chunksize(100_000, 2) == 64
+    def test_large_campaign_batches(self, chunk_sizes):
+        assert chunk_sizes(1000, 4) == [63] * 15 + [55]
 
-    def test_degenerate(self):
-        assert default_chunksize(0, 4) == 1
+    def test_capped(self, chunk_sizes):
+        sizes = chunk_sizes(100_000, 2)
+        assert max(sizes) == 64
+        assert sum(sizes) == 100_000
+
+    def test_degenerate(self, chunk_sizes):
+        assert chunk_sizes(0, 4) == []
 
 
 class TestEngineRouting:
@@ -106,7 +109,7 @@ class TestEquivalence:
     def test_parallel_matches_sequential(self, tiny_platform):
         points = _points(tiny_platform)
         seq = run_campaign(points, n_workers=1)
-        par = run_campaign(points, n_workers=2, chunksize=2)
+        par = run_campaign(points, n_workers=2)
         assert seq.records == par.records
 
     def test_journal_round_trip_is_exact(self, tiny_platform, tmp_path):

@@ -4,7 +4,8 @@ One mixed point list -- packable ``auto`` points in two Monte-Carlo
 shapes, an ``auto`` PD point that falls back to ``fast-pd``, explicit
 ``fast`` and ``step`` points, analytic and optimize points, and a
 duplicate -- runs through the batch evaluator, the campaign executor
-(serial, pooled, pooled with one point per chunk) and the process fleet.
+(serial and pooled) and the process fleet (planned, and one point per
+bucket).
 Each must return exactly ``[evaluate_point(p) for p in points]``, with
 the point labels merged in where the path adds them; the shared planner
 must put every item in exactly one bucket.
@@ -99,9 +100,8 @@ def test_evaluate_points_matches_per_point(points, expected):
     [
         {"n_workers": 1},
         {"n_workers": 2},
-        {"n_workers": 2, "chunksize": 1},
     ],
-    ids=["serial", "two-workers", "two-workers-chunk1"],
+    ids=["serial", "two-workers"],
 )
 def test_run_campaign_matches_per_point(points, expected, kwargs):
     result = run_campaign(points, **kwargs)
@@ -115,16 +115,24 @@ def test_fleet_matches_per_point(points, expected):
         assert fleet.evaluate(points) == expected
 
 
+def test_one_point_buckets_match_per_point(points, expected):
+    out = [None] * len(points)
+    with EvalFleet(2) as fleet:
+        for bucket, records in fleet.run_buckets(
+            [[(str(i), p)] for i, p in enumerate(points)]
+        ):
+            ((key, _),) = bucket
+            (out[int(key)],) = records
+    assert out == expected
+
+
 def test_planner_partitions_items(points):
     items = [(str(i), p) for i, p in enumerate(points)]
     for workers in (1, 2, 3):
-        for chunk in (1, 2, 64):
-            for pack_rows in (1, 20, 10**6):
-                buckets = plan_buckets(
-                    items, pack_rows, workers=workers, chunk=chunk
-                )
-                assert all(buckets)
-                planned = sorted(
-                    int(key) for bucket in buckets for key, _ in bucket
-                )
-                assert planned == list(range(len(points)))
+        for pack_rows in (1, 20, 10**6):
+            buckets = plan_buckets(items, pack_rows, workers=workers)
+            assert all(buckets)
+            planned = sorted(
+                int(key) for bucket in buckets for key, _ in bucket
+            )
+            assert planned == list(range(len(points)))

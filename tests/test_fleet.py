@@ -54,6 +54,15 @@ class TestEvalFleetUnit:
         assert counters["buckets"] >= 2
         assert counters["max_bucket_rows"] <= 8
 
+    def test_explicit_tier_points_spread_across_workers(self):
+        """Non-packable points are chunked per worker, not one bucket."""
+        points = _points(8, engine="fast")
+        with EvalFleet(2) as fleet:
+            records = fleet.evaluate(points)
+            counters = fleet.stats()["counters"]
+        assert records == [evaluate_point(p) for p in points]
+        assert counters["buckets"] >= 2
+
     def test_duplicate_points_reassemble_by_position(self):
         point = _points(1)[0]
         solo = evaluate_point(point)

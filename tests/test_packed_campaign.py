@@ -245,30 +245,24 @@ class TestChunkConfiguration:
         points = _points(seeds=(1,), kinds=("PD",))
         for kw in (
             {"n_workers": 0},
-            {"chunksize": 0},
             {"pack_rows": 0},
         ):
             with pytest.raises(ValueError):
                 run_campaign(points, **kw)
 
-    def test_stranding_chunksize_raises_clear_error(self):
-        # 6 per-point tasks, 3 explicit workers, chunksize 6 -> one
-        # chunk, two idle workers: refuse with guidance.
+    def test_planner_never_strands_workers(self, chunk_sizes):
+        # The derived chunk size always yields min(points, workers)
+        # chunks or more, so no worker of the pool sits idle.
+        for workers in (1, 2, 3, 8):
+            for n in (1, 5, 6, 31, 200, 1000):
+                assert len(chunk_sizes(n, workers)) >= min(n, workers)
         points = _points(engine="fast")
         assert len(points) == 6
-        with pytest.raises(ValueError, match="workers idle"):
-            run_campaign(points, n_workers=3, chunksize=6)
+        res = run_campaign(points, n_workers=3)
+        assert res.records == [evaluate_point(p) for p in points]
 
-    def test_stranding_check_ignores_default_workers(self):
-        # Implicit worker count must not trigger the validation.
-        points = _points(engine="fast", seeds=(1,), kinds=("PD",))
-        res = run_campaign(points, chunksize=64)
-        assert res.n_computed == 1
-
-    def test_max_chunk_caps_heuristic(self):
-        from repro.campaign.executor import default_chunksize
-
-        assert default_chunksize(10_000, 1) == 64
+    def test_max_chunk_caps_heuristic(self, chunk_sizes):
+        assert max(chunk_sizes(10_000, 1)) == 64
 
     def test_default_pack_rows_is_sane(self):
         assert DEFAULT_PACK_ROWS >= 10_000
@@ -301,7 +295,7 @@ class TestCliFlags:
                     "--scenario", "family_comparison",
                     "--patterns", "4", "--runs", "2",
                     "--engine", "fast",
-                    "--workers", "3", "--chunksize", "64",
+                    "--workers", "3", "--pack-rows", "0",
                 ]
             )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.campaign.planner import plan_packs
 from repro.core.builders import PatternKind, build_pattern
 from repro.core.formulas import optimal_pattern, simulation_costs
 from repro.platforms.catalog import hera
@@ -31,7 +32,6 @@ from repro.simulation.packed_engine import (
     PACKED_VERSION,
     PackedJob,
     last_batch_stats,
-    plan_packs,
     simulate_packed_batch,
 )
 

@@ -1,7 +1,7 @@
 """Process-parallel Monte-Carlo through the campaign pool.
 
 A point's records must not depend on where it ran: in-process, on any
-number of pool workers, or in chunks of any size.  Each test compares
+number of pool workers, or in buckets of any size.  Each test compares
 pool output against the direct in-process Monte-Carlo call with the
 same seed.
 """
@@ -10,8 +10,10 @@ import os
 
 import pytest
 
-from repro.campaign.executor import default_chunksize, run_campaign
+from repro.campaign.executor import run_campaign
+from repro.campaign.planner import DEFAULT_PACK_ROWS, plan_buckets
 from repro.campaign.spec import ScenarioPoint, platform_to_dict
+from repro.service.fleet import EvalFleet
 from repro.simulation.runner import simulate_optimal_pattern
 
 
@@ -41,6 +43,19 @@ def _direct(point, tiny_platform):
         seed=point.seed,
         engine=point.engine,
     )
+
+
+def _fleet_records(points, size, procs=2):
+    """Records of ``points`` run as ``size``-point buckets on a fleet."""
+    items = [(str(i), p) for i, p in enumerate(points)]
+    out = [None] * len(points)
+    with EvalFleet(procs) as fleet:
+        for bucket, records in fleet.run_buckets(
+            [items[i : i + size] for i in range(0, len(items), size)]
+        ):
+            for (key, _), record in zip(bucket, records):
+                out[int(key)] = record
+    return out
 
 
 def _assert_matches_direct(records, points, tiny_platform):
@@ -75,7 +90,7 @@ class TestParallelRunner:
 class TestStepEnginePool:
     """Step-tier points never pack: they reach the process pool as
     per-point chunks, and their records must not depend on the worker
-    count or the chunking."""
+    count or the bucket size."""
 
     def test_multi_worker_matches_sequential(self, tiny_platform):
         points = _points(tiny_platform, (7, 8, 9), engine="step")
@@ -90,8 +105,7 @@ class TestStepEnginePool:
             tiny_platform, range(17, 25), engine="step", n_runs=9
         )
         seq = run_campaign(points, n_workers=1)
-        par = run_campaign(points, n_workers=2, chunksize=4)
-        assert par.records == seq.records
+        assert _fleet_records(points, 4) == seq.records
 
     def test_single_worker_in_process(self, tiny_platform, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -107,28 +121,29 @@ class TestStepEnginePool:
 
 class TestChunkedRunner:
     def test_chunked_matches_sequential(self, tiny_platform):
-        """Explicit chunking preserves the per-point seed mapping."""
+        """Four-point buckets preserve the per-point seed mapping."""
         points = _points(
             tiny_platform, range(17, 25), engine="fast", n_runs=9
         )
-        result = run_campaign(points, n_workers=2, chunksize=4)
-        _assert_matches_direct(result.records, points, tiny_platform)
+        records = _fleet_records(points, 4)
+        _assert_matches_direct(records, points, tiny_platform)
         seq = run_campaign(points, n_workers=1)
-        assert result.records == seq.records
+        assert records == seq.records
 
     def test_chunksize_one_matches_heuristic(self, tiny_platform):
         points = _points(
             tiny_platform, range(3, 12), engine="step", n_patterns=3
         )
-        assert default_chunksize(len(points), 2) > 1
-        one = run_campaign(points, n_workers=2, chunksize=1)
+        items = [(str(i), p) for i, p in enumerate(points)]
+        planned = plan_buckets(items, DEFAULT_PACK_ROWS, workers=2)
+        assert max(len(b) for b in planned) > 1
         heuristic = run_campaign(points, n_workers=2)
-        assert one.records == heuristic.records
+        assert _fleet_records(points, 1) == heuristic.records
 
-    def test_default_chunksize_heuristic(self):
-        assert default_chunksize(8, 8) == 1  # small: one point per task
-        assert default_chunksize(1000, 4) == 63  # ~4 tasks per worker
-        assert default_chunksize(0, 4) == 1
+    def test_default_chunksize_heuristic(self, chunk_sizes):
+        assert chunk_sizes(8, 8) == [1] * 8  # small: one point per task
+        assert max(chunk_sizes(1000, 4)) == 63  # ~4 tasks per worker
+        assert chunk_sizes(0, 4) == []
 
 
 class TestDefaultWorkers:

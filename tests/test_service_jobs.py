@@ -169,14 +169,15 @@ class TestFairShare:
         ]
         buckets = plan_buckets(items, 10**6)
         # Analytic points bucket per pattern family; the five optimize
-        # points share one (mode, engine) bucket.
+        # points share (mode, engine) buckets of ceil(8 / 4) = 2 points
+        # (eight non-packable points, about four chunks per worker).
         for bucket in buckets:
             modes = {p.mode for _, p in bucket}
             assert len(modes) == 1
         n_points = sum(len(b) for b in buckets)
         assert n_points == len(items)
         assert any(
-            len(b) == 5 and b[0][1].mode == "optimize" for b in buckets
+            len(b) == 2 and b[0][1].mode == "optimize" for b in buckets
         )
 
     def test_plan_buckets_validates_pack_rows(self):
