@@ -351,22 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--autotune", action="store_true",
-        help="adaptively retune --batch-window-ms/--pack-rows from the "
-        "observed arrival rate (quiet traffic gets a near-zero window, "
-        "bursts get a wide one); live values and controller decisions "
-        "appear in /v1/stats",
-    )
-    p.add_argument(
-        "--autotune-interval-ms", type=float, default=None,
-        help="controller sampling period in ms (default 250)",
-    )
-    p.add_argument(
-        "--autotune-window-floor-ms", type=float, default=None,
-        help="smallest window the controller may set (default 0.5)",
-    )
-    p.add_argument(
-        "--autotune-window-ceil-ms", type=float, default=None,
-        help="largest window the controller may set (default 25)",
+        help="let the scheduler set its own batch window (0.5-25 ms) "
+        "from the compute-arrival rate it counts, instead of "
+        "--batch-window-ms: quiet traffic gets a near-zero window, "
+        "bursts get a wide one; the live window, rate and rows per "
+        "point appear in /v1/stats",
     )
     p.add_argument(
         "--eval-procs", type=int, default=None, metavar="N",
@@ -869,9 +858,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.job_inflight is not None:
         config.job_inflight = args.job_inflight
     config.autotune = args.autotune
-    config.autotune_interval_ms = args.autotune_interval_ms
-    config.autotune_window_floor_ms = args.autotune_window_floor_ms
-    config.autotune_window_ceil_ms = args.autotune_window_ceil_ms
     if args.eval_procs is not None:
         config.eval_procs = args.eval_procs
     config.rate_rows_per_s = args.rate_rows_per_s

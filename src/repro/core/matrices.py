@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize as _opt
 
 
 @lru_cache(maxsize=1024)
@@ -128,6 +127,9 @@ def minimize_quadratic_form(m: int, r: float) -> np.ndarray:
     """
     if m == 1:
         return np.array([1.0])
+    # scipy loads lazily: only this cross-check needs it.
+    from scipy import optimize as _opt
+
     A = recall_matrix(m, r)
 
     def objective(b: np.ndarray) -> float:

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from scipy import optimize as _opt
-
 from repro.core.builders import PatternKind, build_pattern
 from repro.core.exact import exact_overhead
 from repro.core.firstorder import decompose_overhead
@@ -99,6 +97,10 @@ def optimize_period(
             f"{max_W:.6g}s (= 50 / lambda_total), so the bracket cannot "
             "contain a minimum; check the platform rates and costs"
         )
+
+    # scipy loads lazily: importing it costs more than the rest of
+    # ``import repro``, and only this cross-check needs it.
+    from scipy import optimize as _opt
 
     res = _opt.minimize_scalar(
         lambda W: _exact_overhead_at(kind, platform, W, n, m),

@@ -10,7 +10,7 @@ every latency number in the repository is computed the same way:
   excludes them before percentiles are taken.
 * **EWMA** -- the exponentially weighted moving average of latency in
   completion order, the standard online health signal (and what the
-  adaptive controller smooths arrival rate with).
+  adaptive batch window smooths arrival rate with).
 * **summaries** -- p50/p95/p99/mean/max plus throughput over the
   measured (post-warm-up) span, overall and per request class.
 """

@@ -324,9 +324,7 @@ def wrap_evaluate(
     """Apply an injector's raise/delay schedule to an evaluate callable.
 
     Used for the in-process evaluation path (the fleet applies the
-    schedule itself, so it also covers kills).  The wrapper is
-    deliberately opaque -- no ``__self__`` -- so the scheduler's
-    evaluator-stats discovery stays untouched.
+    schedule itself, so it also covers kills).
     """
     import time
 

@@ -13,6 +13,21 @@ each point the scheduler, in order:
    first enqueue -- or until ``pack_rows`` Monte-Carlo rows are queued
    -- so that points arriving together are evaluated together.
 
+With ``autotune`` on, the scheduler sets that window itself at the
+start of every collection.  It smooths its own compute-arrival rate
+(the ``computed`` counter over the loop clock; cache hits and coalesced
+duplicates need no batching and are excluded) with an EWMA and maps it
+through a bounded monotone ramp::
+
+    window(rate) = floor + (ceil - floor) * clip((rate - low) / (high - low), 0, 1)
+
+Quiet traffic pays the 0.5 ms floor; bursts get up to 25 ms.  The
+window also closes early once about :data:`AUTOTUNE_BATCH_POINTS`
+points' rows are queued, at the smoothed rows per point.  The ramp and
+the EWMA are pure module functions (:func:`window_for_rate`,
+:func:`ewma`, :func:`rate_weight`) over module constants; there is no
+controller task and nothing to tune.
+
 A batch is evaluated on a small thread pool through
 :func:`~repro.campaign.executor.evaluate_points` -- the one batch entry
 every execution path uses: analytic points grouped per family
@@ -82,6 +97,54 @@ DEFAULT_FLEET_FAILURE_THRESHOLD = 3
 #: Evaluate failures that mean "the evaluator is gone", not "this batch
 #: is bad": the fallback gets the batch and the circuit breaker counts.
 FLEET_INFRA_ERRORS = (FleetUnavailableError, BrokenProcessPool)
+
+#: Adaptive window bounds (ms).  The floor is the quiet-traffic window:
+#: near zero, so light load pays almost no batching tax.
+AUTOTUNE_WINDOW_FLOOR_MS = 0.5
+AUTOTUNE_WINDOW_CEIL_MS = 25.0
+#: The ramp's knee (computed points/s): at or below the low rate the
+#: window sits on the floor, at or above the high rate on the ceiling,
+#: linear in between.  A process fleet scales both by its size.
+AUTOTUNE_LOW_RATE_RPS = 20.0
+AUTOTUNE_HIGH_RATE_RPS = 400.0
+#: EWMA weight of the newest sample; for the rate it is the weight of
+#: one :data:`AUTOTUNE_RATE_INTERVAL_S` of elapsed time.
+AUTOTUNE_ALPHA = 0.3
+AUTOTUNE_RATE_INTERVAL_S = 0.1
+#: An adaptive window closes early once this many points' rows queue.
+AUTOTUNE_BATCH_POINTS = 64
+
+
+def window_for_rate(rate_rps: float) -> float:
+    """The adaptive window (ms) for a compute-arrival rate (points/s)."""
+    frac = (max(0.0, rate_rps) - AUTOTUNE_LOW_RATE_RPS) / (
+        AUTOTUNE_HIGH_RATE_RPS - AUTOTUNE_LOW_RATE_RPS
+    )
+    window = AUTOTUNE_WINDOW_FLOOR_MS + (
+        AUTOTUNE_WINDOW_CEIL_MS - AUTOTUNE_WINDOW_FLOOR_MS
+    ) * min(1.0, max(0.0, frac))
+    # The arithmetic can round a hair past the bounds; the bounds are
+    # the contract, so clamp.
+    return min(AUTOTUNE_WINDOW_CEIL_MS, max(AUTOTUNE_WINDOW_FLOOR_MS, window))
+
+
+def ewma(
+    previous: Optional[float], sample: float, weight: float = AUTOTUNE_ALPHA
+) -> float:
+    """One EWMA step; the first sample (``previous is None``) seeds it."""
+    if previous is None:
+        return sample
+    return previous + weight * (sample - previous)
+
+
+def rate_weight(dt_s: float) -> float:
+    """EWMA weight of a rate sample spanning ``dt_s`` seconds.
+
+    :data:`AUTOTUNE_ALPHA` per :data:`AUTOTUNE_RATE_INTERVAL_S`, so a
+    long idle gap decays the rate as far as that many interval samples
+    of its average would -- whether or not anything arrived meanwhile.
+    """
+    return 1.0 - (1.0 - AUTOTUNE_ALPHA) ** (dt_s / AUTOTUNE_RATE_INTERVAL_S)
 
 
 #: A settled per-key outcome: the result record, or the exception the
@@ -167,6 +230,15 @@ class MicroBatchScheduler:
         ``/v1/stats``).
     fleet_failure_threshold:
         Consecutive fleet failures that open the circuit breaker.
+    autotune:
+        Set the window from the observed compute-arrival rate at the
+        start of each collection (see the module docstring) instead of
+        using ``batch_window_ms``, which then only reports the live
+        window.
+    knee_scale:
+        Multiplier on the adaptive ramp's knee rates: a fleet of N
+        processes absorbs about N times the arrival rate before
+        batching pays, so the server passes its fleet size.
     """
 
     def __init__(
@@ -184,6 +256,8 @@ class MicroBatchScheduler:
         ] = None,
         fleet_failure_threshold: int = DEFAULT_FLEET_FAILURE_THRESHOLD,
         obs: Optional[Observability] = None,
+        autotune: bool = False,
+        knee_scale: float = 1.0,
     ):
         if batch_window_ms < 0:
             raise ValueError(
@@ -214,6 +288,13 @@ class MicroBatchScheduler:
         self.batch_window_ms = float(batch_window_ms)
         self.pack_rows = int(pack_rows)
         self.eval_workers = int(eval_workers)
+        self.autotune = bool(autotune)
+        self.knee_scale = float(knee_scale)
+        #: Adaptive state: the smoothed rate and rows per point, and
+        #: the counters and loop time of the last rate sample.
+        self._rate_rps = 0.0
+        self._rows_per_point: Optional[float] = None
+        self._sampled = (0, 0, 0.0)
 
         #: Observability hub; ``None`` keeps every hook a no-op.
         self._obs = obs
@@ -242,7 +323,6 @@ class MicroBatchScheduler:
             "point_failures": 0,  # unique points whose evaluation raised
             "cache_put_failures": 0,
             "max_batch_points": 0,
-            "reconfigures": 0,    # live reconfigure() calls applied
             "fleet_failures": 0,  # evaluate raised a fleet infra error
             "fallback_batches": 0,  # batches answered by the fallback
             "circuit_breaker_trips": 0,  # times the breaker opened
@@ -260,6 +340,11 @@ class MicroBatchScheduler:
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         self._draining = False
+        self._sampled = (
+            self._counters["computed"],
+            self._counters["computed_rows"],
+            self._loop.time(),
+        )
         self._pool = ThreadPoolExecutor(
             max_workers=self.eval_workers, thread_name_prefix="repro-eval"
         )
@@ -441,54 +526,9 @@ class MicroBatchScheduler:
             trace.span("unpack", t_unpack0, time.perf_counter())
         return keys, records, n_failed
 
-    def reconfigure(
-        self,
-        *,
-        batch_window_ms: Optional[float] = None,
-        pack_rows: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Retune the batching knobs on a live scheduler.
-
-        The seam the adaptive controller (:mod:`repro.service.autotune`)
-        drives: new values apply from the *current* collection window
-        on -- the drain loop re-reads both knobs every time it wakes,
-        and reconfiguring wakes it -- and queued requests are never
-        dropped or duplicated by a change (points already queued simply
-        ride the next batch cut under the new budget; shrinking
-        ``pack_rows`` below a single point's rows still dispatches that
-        point alone, exactly as at construction time).
-
-        Validation matches the constructor.  Returns the live config.
-        Safe from any thread: the knobs are plain attribute writes, and
-        the wake-up is marshalled onto the event loop.
-        """
-        if batch_window_ms is not None:
-            if batch_window_ms < 0:
-                raise ValueError(
-                    f"batch_window_ms must be >= 0, got {batch_window_ms}"
-                )
-            self.batch_window_ms = float(batch_window_ms)
-        if pack_rows is not None:
-            if pack_rows < 1:
-                raise ValueError(
-                    f"pack_rows must be >= 1, got {pack_rows}"
-                )
-            self.pack_rows = int(pack_rows)
-        if batch_window_ms is not None or pack_rows is not None:
-            self._counters["reconfigures"] += 1
-            if self._loop is not None and self._wake is not None:
-                # Wake a drain loop sleeping on the old window so a
-                # shorter window (or smaller row budget) takes effect
-                # immediately, not after the old deadline.
-                self._loop.call_soon_threadsafe(self._wake.set)
-        return {
-            "batch_window_ms": self.batch_window_ms,
-            "pack_rows": self.pack_rows,
-        }
-
     def stats(self) -> Dict[str, Any]:
         """Configuration, counters and cache state for ``/v1/stats``."""
-        payload = {
+        return {
             "config": {
                 "batch_window_ms": self.batch_window_ms,
                 "pack_rows": self.pack_rows,
@@ -504,15 +544,17 @@ class MicroBatchScheduler:
             "cache": (
                 self._cache.stats() if self._cache is not None else None
             ),
+            "autotune": (
+                {
+                    "enabled": True,
+                    "window_ms": self.batch_window_ms,
+                    "rate_rps": self._rate_rps,
+                    "rows_per_point": self._rows_per_point,
+                }
+                if self.autotune
+                else {"enabled": False}
+            ),
         }
-        # An injected evaluator that can introspect itself (the process
-        # fleet) reports through the scheduler, keeping /v1/stats whole.
-        evaluator_stats = getattr(self._evaluate, "__self__", None)
-        if evaluator_stats is not None and hasattr(
-            evaluator_stats, "stats"
-        ):
-            payload["evaluator"] = evaluator_stats.stats()
-        return payload
 
     # -- drain loop ---------------------------------------------------------
     async def _drain(self) -> None:
@@ -521,19 +563,16 @@ class MicroBatchScheduler:
             self._wake.clear()
             if not self._queue:
                 continue
+            cut_rows = self.pack_rows
+            if self.autotune:
+                cut_rows = min(cut_rows, self._retune())
             if self.batch_window_ms > 0:
                 # The micro-batching window: let concurrent requests
                 # pile onto the queue before cutting batches.  Every
                 # enqueue re-signals the wake event, so a burst that
-                # fills the row budget cuts the window short.  The
-                # deadline is recomputed from the live window each
-                # iteration (reconfigure() also signals the event), so
-                # retuning applies to the window in progress.
-                window_start = self._loop.time()
-                while self._queued_rows < self.pack_rows:
-                    deadline = (
-                        window_start + self.batch_window_ms / 1000.0
-                    )
+                # fills the row budget cuts the window short.
+                deadline = self._loop.time() + self.batch_window_ms / 1000.0
+                while self._queued_rows < cut_rows:
                     remaining = deadline - self._loop.time()
                     if remaining <= 0:
                         break
@@ -549,6 +588,32 @@ class MicroBatchScheduler:
                 task = self._loop.create_task(self._run_batch(batch))
                 self._batch_tasks.add(task)
                 task.add_done_callback(self._batch_tasks.discard)
+
+    def _retune(self) -> float:
+        """Set the adaptive window; return the early-cut row count.
+
+        Samples the compute-arrival rate and rows per point since the
+        last collection from the scheduler's own counters.  The queue
+        is non-empty here, so at least one point arrived since then.
+        """
+        points0, rows0, t0 = self._sampled
+        now = self._loop.time()
+        points = self._counters["computed"] - points0
+        rows = self._counters["computed_rows"] - rows0
+        if points > 0 and now > t0:
+            self._rate_rps = ewma(
+                self._rate_rps, points / (now - t0), rate_weight(now - t0)
+            )
+            self._rows_per_point = ewma(self._rows_per_point, rows / points)
+            self._sampled = (
+                self._counters["computed"],
+                self._counters["computed_rows"],
+                now,
+            )
+        self.batch_window_ms = window_for_rate(
+            self._rate_rps / self.knee_scale
+        )
+        return AUTOTUNE_BATCH_POINTS * (self._rows_per_point or 1.0)
 
     def _take_batch(self) -> List[_Pending]:
         """Pop queued points up to the row budget (at least one)."""

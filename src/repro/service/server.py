@@ -49,12 +49,6 @@ from repro.service.admission import (
     AdmissionController,
     CLIENT_HEADER,
 )
-from repro.service.autotune import (
-    AdaptiveBatchController,
-    AutotuneRunner,
-    ControllerConfig,
-    DEFAULT_INTERVAL_MS,
-)
 from repro.service.faults import FaultInjector, FaultPlan, wrap_evaluate
 from repro.service.jobs.api import JobsApi
 from repro.service.jobs.manager import (
@@ -130,14 +124,10 @@ class ServiceConfig:
     jobs_dir: Optional[str] = None
     #: Concurrently dispatched job buckets across all jobs.
     job_inflight: int = DEFAULT_MAX_INFLIGHT
-    #: Adaptive micro-batch tuning (:mod:`repro.service.autotune`):
-    #: when on, a periodic controller retunes ``batch_window_ms`` and
-    #: ``pack_rows`` from the observed compute-arrival rate, between
-    #: ``autotune_window_floor_ms`` and ``autotune_window_ceil_ms``.
+    #: Adaptive micro-batching: the scheduler sets its own window from
+    #: the compute-arrival rate it counts, ignoring ``batch_window_ms``
+    #: (:mod:`repro.service.scheduler`).
     autotune: bool = False
-    autotune_interval_ms: Optional[float] = None
-    autotune_window_floor_ms: Optional[float] = None
-    autotune_window_ceil_ms: Optional[float] = None
     #: Resident evaluation processes (:mod:`repro.service.fleet`).
     #: ``0`` keeps evaluation in-process (the single-core default);
     #: ``N >= 1`` fans scheduler batches out to N warm workers.
@@ -189,7 +179,6 @@ class ServiceServer:
         host: str = DEFAULT_HOST,
         port: int = 0,
         jobs_api: Optional[JobsApi] = None,
-        autotune: Optional["AutotuneRunner"] = None,
         admission: Optional[AdmissionController] = None,
         fleet: Optional[EvalFleet] = None,
         injector: Optional[FaultInjector] = None,
@@ -197,7 +186,6 @@ class ServiceServer:
     ):
         self.scheduler = scheduler
         self.jobs_api = jobs_api
-        self.autotune = autotune
         self.admission = admission
         self.fleet = fleet
         self.injector = injector
@@ -354,11 +342,8 @@ class ServiceServer:
             "started_at": round(self._started_wall, 3),
             **self.scheduler.stats(),
         }
-        payload["autotune"] = (
-            self.autotune.stats()
-            if self.autotune is not None
-            else {"enabled": False}
-        )
+        if self.fleet is not None:
+            payload["evaluator"] = self.fleet.stats()
         payload["admission"] = (
             self.admission.stats()
             if self.admission is not None
@@ -656,6 +641,10 @@ async def start_service(
         evaluate=evaluate,
         fallback_evaluate=fallback,
         obs=obs,
+        autotune=config.autotune,
+        # N fleet workers absorb ~N times the arrival rate before
+        # batching pays, so the window ramp's knee scales with them.
+        knee_scale=fleet.procs if fleet is not None else 1,
     )
     await scheduler.start()
     store = (
@@ -686,46 +675,11 @@ async def start_service(
             ),
             obs=obs,
         )
-    autotune: Optional[AutotuneRunner] = None
-    if config.autotune:
-        controller_fields: Dict[str, Any] = {}
-        if config.autotune_window_floor_ms is not None:
-            controller_fields["window_floor_ms"] = (
-                config.autotune_window_floor_ms
-            )
-        if config.autotune_window_ceil_ms is not None:
-            controller_fields["window_ceil_ms"] = (
-                config.autotune_window_ceil_ms
-            )
-        if fleet is not None and fleet.procs > 1:
-            # Fleet-aware rate signal: N workers absorb ~N times the
-            # arrival rate before batching pays, so the window ramp's
-            # thresholds scale with the fleet size.
-            defaults = ControllerConfig()
-            controller_fields.setdefault(
-                "low_rate_rps", defaults.low_rate_rps * fleet.procs
-            )
-            controller_fields.setdefault(
-                "high_rate_rps", defaults.high_rate_rps * fleet.procs
-            )
-        autotune = AutotuneRunner(
-            scheduler,
-            AdaptiveBatchController(
-                ControllerConfig(**controller_fields)
-            ),
-            interval_ms=(
-                config.autotune_interval_ms
-                if config.autotune_interval_ms is not None
-                else DEFAULT_INTERVAL_MS
-            ),
-        )
-        await autotune.start()
     server = ServiceServer(
         scheduler,
         host=config.host,
         port=config.port,
         jobs_api=JobsApi(manager),
-        autotune=autotune,
         admission=admission,
         fleet=fleet,
         injector=injector,
@@ -774,11 +728,11 @@ async def _serve_async(
     """Run a full service until ``stop`` is set (or forever).
 
     On exit the drain order is: stop accepting HTTP and answer what is
-    in flight, then stop the autotuner, flush job journals, flush the
-    scheduler's remaining queue (``close(flush=True)`` evaluates
-    already-accepted batches instead of abandoning their futures),
-    close the fleet, and finally remove the port file -- its absence
-    is the external signal that the daemon is truly gone.
+    in flight, then flush job journals, flush the scheduler's
+    remaining queue (``close(flush=True)`` evaluates already-accepted
+    batches instead of abandoning their futures), close the fleet, and
+    finally remove the port file -- its absence is the external signal
+    that the daemon is truly gone.
     """
     scheduler, server, manager = await start_service(config)
     if stop is None:
@@ -794,8 +748,6 @@ async def _serve_async(
         await stop.wait()
     finally:
         await server.close(grace_s=config.drain_grace_s)
-        if server.autotune is not None:
-            await server.autotune.close()
         await manager.close()
         await scheduler.close(flush=True)
         if server.fleet is not None:
@@ -853,7 +805,6 @@ class BackgroundService:
         self.port: Optional[int] = None
         self.scheduler: Optional[MicroBatchScheduler] = None
         self.manager: Optional[JobManager] = None
-        self.autotune: Optional[AutotuneRunner] = None
         self.fleet: Optional[EvalFleet] = None
         self.admission: Optional[AdmissionController] = None
         self.obs: Optional[Observability] = None
@@ -913,7 +864,6 @@ class BackgroundService:
             self.scheduler = scheduler
             if server.jobs_api is not None:
                 self.manager = server.jobs_api.manager
-            self.autotune = server.autotune
             self.fleet = server.fleet
             self.admission = server.admission
             self.obs = server.obs

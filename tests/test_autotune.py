@@ -1,36 +1,41 @@
-"""Property tests for the adaptive micro-batch controller.
+"""Adaptive micro-batching: the scheduler sets its own window.
 
-The controller's contract (pinned here with ``hypothesis``):
+The rule's contract (pinned here with ``hypothesis`` on the pure
+module functions of :mod:`repro.service.scheduler`):
 
-* **bounds** -- whatever it has observed, the decided window lies in
-  ``[window_floor_ms, window_ceil_ms]`` and the row budget in
-  ``[pack_rows_floor, pack_rows_ceil]``;
-* **monotonicity** -- the rate-to-window map never decreases in rate:
-  a higher arrival rate never shrinks the window below what a lower
-  rate got (and never below the floor);
-* **convergence** -- fed a constant-rate stream, the controller
-  settles: the EWMA converges, the decided window stops moving, and
-  hysteresis makes ``apply`` go quiet (returns ``None``) instead of
-  jittering the scheduler forever.
+* **bounds** -- whatever rates it has smoothed, the window lies in
+  ``[AUTOTUNE_WINDOW_FLOOR_MS, AUTOTUNE_WINDOW_CEIL_MS]``;
+* **monotonicity** -- the rate-to-window ramp never decreases in rate;
+* **convergence** -- fed a constant rate, the EWMA settles on it and
+  the window stops moving.
 
-Plus the asyncio integration: a ``BackgroundService(autotune=True)``
-exposes live controller state under ``/v1/stats`` and actually
-reconfigures the scheduler under load.
+Plus the asyncio side: an adaptive scheduler whose window changes
+between cuts still answers every request exactly once with records
+equal to :func:`evaluate_point`, and a ``BackgroundService(autotune=
+True)`` exposes the live window, rate and rows per point under
+``/v1/stats``.
 """
 
+import asyncio
 import math
+import time
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.campaign.executor import evaluate_point, evaluate_points
+from repro.campaign.spec import ScenarioPoint, platform_to_dict
 from repro.loadgen.replay import WorkloadReplayer
 from repro.loadgen.traces import make_trace
-from repro.service.autotune import (
-    AdaptiveBatchController,
-    AutotuneRunner,
-    ControllerConfig,
-)
+from repro.platforms.catalog import hera
 from repro.service.client import ServiceClient
+from repro.service.scheduler import (
+    AUTOTUNE_WINDOW_CEIL_MS,
+    AUTOTUNE_WINDOW_FLOOR_MS,
+    MicroBatchScheduler,
+    ewma,
+    rate_weight,
+    window_for_rate,
+)
 from repro.service.server import BackgroundService
 
 #: Rate samples spanning quiet to far-past-ceiling traffic.
@@ -39,230 +44,219 @@ rates = st.floats(
     allow_nan=False, allow_infinity=False,
 )
 
-#: Randomised-but-valid controller configurations.
-configs = st.builds(
-    ControllerConfig,
-    window_floor_ms=st.floats(min_value=0.0, max_value=5.0),
-    window_ceil_ms=st.floats(min_value=5.0, max_value=100.0),
-    low_rate_rps=st.floats(min_value=0.0, max_value=100.0),
-    high_rate_rps=st.floats(min_value=101.0, max_value=5e3),
-    target_batch_points=st.integers(min_value=1, max_value=512),
-    pack_rows_floor=st.integers(min_value=1, max_value=10_000),
-    pack_rows_ceil=st.integers(min_value=10_000, max_value=10**7),
-    alpha=st.floats(min_value=0.01, max_value=1.0),
-    hysteresis=st.floats(min_value=0.0, max_value=0.5),
-)
-
-#: One observation interval: (points, rows-per-point, queue_rows).
-observations = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=1_000),
-        st.integers(min_value=0, max_value=10**6),
-    ),
-    min_size=1,
-    max_size=30,
+#: One rate sample: (points since the last sample, seconds spanned).
+samples = st.tuples(
+    st.integers(min_value=0, max_value=10_000),
+    st.floats(min_value=1e-4, max_value=10.0),
 )
 
 
 class TestProperties:
-    @given(config=configs, feed=observations)
+    @given(feed=st.lists(samples, min_size=1, max_size=30))
     @settings(max_examples=200, deadline=None)
-    def test_bounds_always_respected(self, config, feed):
-        """No observation history can push a decision out of bounds."""
-        controller = AdaptiveBatchController(config)
-        for points, rpp, queue_rows in feed:
-            controller.observe(
-                points=points,
-                rows=points * rpp,
-                queue_rows=queue_rows,
-                dt_s=0.25,
-            )
-            decision = controller.decide()
+    def test_bounds_always_respected(self, feed):
+        """No sample history can push the window out of bounds."""
+        rate = 0.0
+        for points, dt_s in feed:
+            sample = points / dt_s
+            prev = rate
+            rate = ewma(rate, sample, rate_weight(dt_s))
+            # The smoothed rate stays between its inputs...
+            slack = 1e-9 * max(1.0, prev, sample)
+            assert min(prev, sample) - slack <= rate
+            assert rate <= max(prev, sample) + slack
+            # ...and the window between its bounds.
             assert (
-                config.window_floor_ms
-                <= decision["batch_window_ms"]
-                <= config.window_ceil_ms
-            )
-            assert (
-                config.pack_rows_floor
-                <= decision["pack_rows"]
-                <= config.pack_rows_ceil
+                AUTOTUNE_WINDOW_FLOOR_MS
+                <= window_for_rate(rate)
+                <= AUTOTUNE_WINDOW_CEIL_MS
             )
 
-    @given(config=configs, rate_a=rates, rate_b=rates)
+    @given(rate_a=rates, rate_b=rates)
     @settings(max_examples=200, deadline=None)
-    def test_window_monotone_in_rate(self, config, rate_a, rate_b):
+    def test_window_monotone_in_rate(self, rate_a, rate_b):
         """Higher rate => never a smaller window (and never sub-floor)."""
-        controller = AdaptiveBatchController(config)
         lo, hi = sorted((rate_a, rate_b))
-        w_lo = controller.window_for_rate(lo)
-        w_hi = controller.window_for_rate(hi)
+        w_lo = window_for_rate(lo)
+        w_hi = window_for_rate(hi)
         assert w_hi >= w_lo
-        assert w_lo >= config.window_floor_ms
-        assert w_hi <= config.window_ceil_ms
+        assert w_lo >= AUTOTUNE_WINDOW_FLOOR_MS
+        assert w_hi <= AUTOTUNE_WINDOW_CEIL_MS
 
     @given(
-        config=configs,
         points=st.integers(min_value=0, max_value=5_000),
-        rpp=st.integers(min_value=1, max_value=500),
-        queue_rows=st.integers(min_value=0, max_value=10**6),
+        dt_s=st.floats(min_value=0.01, max_value=2.0),
+        start=rates,
     )
     @settings(max_examples=200, deadline=None)
-    def test_convergence_on_constant_rate(
-        self, config, points, rpp, queue_rows
-    ):
-        """A constant-rate feed settles and ``apply`` goes quiet."""
-        controller = AdaptiveBatchController(config)
-        for _ in range(200):
-            controller.observe(
-                points=points,
-                rows=points * rpp,
-                queue_rows=queue_rows,
-                dt_s=0.25,
-            )
+    def test_convergence_on_constant_rate(self, points, dt_s, start):
+        """A constant-rate feed settles: EWMA and window stop moving."""
+        rate = start
+        for _ in range(2_000):
+            rate = ewma(rate, points / dt_s, rate_weight(dt_s))
         # The EWMA has converged onto the true sample rate...
         assert math.isclose(
-            controller.decide()["rate_rps"],
-            points / 0.25,
-            rel_tol=1e-6,
-            abs_tol=1e-9,
+            rate, points / dt_s, rel_tol=1e-6, abs_tol=1e-9
         )
-        # ...so the decision is a fixed point: one more observation
-        # does not move it.
-        before = controller.decide()
-        controller.observe(
-            points=points,
-            rows=points * rpp,
-            queue_rows=queue_rows,
-            dt_s=0.25,
-        )
-        after = controller.decide()
+        # ...so the window is a fixed point: one more sample does not
+        # move it.
+        after = ewma(rate, points / dt_s, rate_weight(dt_s))
         assert math.isclose(
-            before["batch_window_ms"],
-            after["batch_window_ms"],
+            window_for_rate(rate),
+            window_for_rate(after),
             rel_tol=1e-6,
             abs_tol=1e-9,
         )
-        assert before["pack_rows"] == after["pack_rows"]
 
 
-class TestApplyHysteresis:
-    def _converged_scheduler_stub(self, decision):
-        class _Sched:
-            batch_window_ms = decision["batch_window_ms"]
-            pack_rows = decision["pack_rows"]
-
-            def reconfigure(self, **kw):  # pragma: no cover
-                raise AssertionError(
-                    f"reconfigure called on converged knobs: {kw}"
-                )
-
-        return _Sched()
-
-    @given(config=configs, feed=observations)
-    @settings(max_examples=100, deadline=None)
-    def test_apply_is_quiet_at_the_fixed_point(self, config, feed):
-        """When live knobs equal the decision, apply() returns None."""
-        controller = AdaptiveBatchController(config)
-        for points, rpp, queue_rows in feed:
-            controller.observe(
-                points=points,
-                rows=points * rpp,
-                queue_rows=queue_rows,
-                dt_s=0.25,
-            )
-        scheduler = self._converged_scheduler_stub(controller.decide())
-        assert controller.apply(scheduler) is None
-
-    def test_apply_moves_past_hysteresis(self):
-        controller = AdaptiveBatchController()
-
-        class _Sched:
-            batch_window_ms = 5.0
-            pack_rows = 100_000
-            calls = []
-
-            def reconfigure(self, **kw):
-                self.calls.append(kw)
-
-        # Far past the ramp: decision is the ceiling window.
-        for _ in range(20):
-            controller.observe(
-                points=1000, rows=4000, queue_rows=0, dt_s=0.25
-            )
-        scheduler = _Sched()
-        applied = controller.apply(scheduler)
-        assert applied is not None
-        assert "batch_window_ms" in applied["changed"]
-        assert scheduler.calls
-        assert controller.stats()["applied"] == 1
-        assert controller.stats()["last_decision"] == applied
-
-
-class TestValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(window_floor_ms=-1.0),
-            dict(window_floor_ms=10.0, window_ceil_ms=5.0),
-            dict(low_rate_rps=100.0, high_rate_rps=100.0),
-            dict(low_rate_rps=-1.0),
-            dict(target_batch_points=0),
-            dict(pack_rows_floor=0),
-            dict(pack_rows_floor=100, pack_rows_ceil=10),
-            dict(alpha=0.0),
-            dict(alpha=1.5),
-            dict(hysteresis=-0.1),
-        ],
+def _point(seed):
+    return ScenarioPoint(
+        mode="simulate",
+        kind="PDMV",
+        platform=platform_to_dict(hera()),
+        n_patterns=4,
+        n_runs=3,
+        seed=seed,
     )
-    def test_bad_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            ControllerConfig(**kwargs)
 
-    def test_bad_observation_rejected(self):
-        controller = AdaptiveBatchController()
-        with pytest.raises(ValueError, match="dt_s"):
-            controller.observe(
-                points=1, rows=1, queue_rows=0, dt_s=0.0
-            )
-        with pytest.raises(ValueError):
-            controller.observe(
-                points=-1, rows=0, queue_rows=0, dt_s=1.0
-            )
 
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError, match="interval_ms"):
-            AutotuneRunner(object(), interval_ms=0.0)
+def _slow_evaluate(points):
+    """The real batch evaluation, held long enough to overlap a wave."""
+    time.sleep(0.05)
+    return evaluate_points(points)
+
+
+class TestAdaptiveScheduler:
+    def test_window_moves_between_cuts_exactly_once(self):
+        """Waves at different rates: the window moves, nothing is lost."""
+
+        async def scenario():
+            scheduler = MicroBatchScheduler(
+                cache=None, autotune=True, evaluate=_slow_evaluate
+            )
+            await scheduler.start()
+            windows = {}
+
+            async def wave(name, seeds, gap_s):
+                await asyncio.sleep(gap_s)
+                out = await asyncio.gather(
+                    *(scheduler.submit([_point(s)]) for s in seeds)
+                )
+                windows[name] = scheduler.stats()["autotune"]["window_ms"]
+                return out
+
+            try:
+                # A 64-point burst, a wave collected (under a new
+                # window) while the burst evaluates, then one after a
+                # quiet spell.
+                waves = await asyncio.gather(
+                    wave("burst", range(64), 0.0),
+                    wave("overlap", range(64, 80), 0.005),
+                    wave("quiet", range(80, 88), 0.6),
+                )
+                return waves, windows, scheduler.stats()
+            finally:
+                await scheduler.close()
+
+        waves, windows, stats = asyncio.run(scenario())
+        results = [r for w in waves for r in w]
+        assert len(results) == 88
+        for seed, (keys, (record,)) in zip(range(88), results):
+            assert record == evaluate_point(_point(seed))
+        counters = stats["counters"]
+        assert counters["computed"] == 88
+        assert counters["engine_points"] == 88
+        assert counters["coalesced"] == 0
+        assert counters["points"] == 88
+        assert stats["queued"] == 0
+        assert stats["queued_rows"] == 0
+        assert stats["inflight"] == 0
+        # The burst widened the window; the quiet spell shrank it.
+        assert windows["quiet"] < windows["burst"]
+        for window in windows.values():
+            assert (
+                AUTOTUNE_WINDOW_FLOOR_MS <= window <= AUTOTUNE_WINDOW_CEIL_MS
+            )
+        # Every point has 4x3 rows, so the smoothed rows per point (the
+        # early-cut size) is exact.
+        assert stats["autotune"]["rows_per_point"] == 12.0
+        assert stats["config"]["batch_window_ms"] == windows["quiet"]
+
+    def test_window_closes_early_at_batch_points(self):
+        """64 points' rows queued cut the window before its deadline."""
+        seen = []
+
+        def echo(points):
+            seen.append(len(points))
+            return [{"seed": p.seed} for p in points]
+
+        async def scenario():
+            scheduler = MicroBatchScheduler(
+                cache=None, autotune=True, evaluate=echo
+            )
+            await scheduler.start()
+
+            async def late(seed, delay_s):
+                await asyncio.sleep(delay_s)
+                return await scheduler.submit([_point(seed)])
+
+            try:
+                # 63 points open a window of several ms (the burst
+                # pushes the rate past the knee); the 64th fills the
+                # early cut, so the 65th -- still inside the window --
+                # must ride a second batch.
+                results = await asyncio.gather(
+                    *(scheduler.submit([_point(s)]) for s in range(63)),
+                    late(63, 0.001),
+                    late(64, 0.004),
+                )
+                return results, scheduler.stats()
+            finally:
+                await scheduler.close()
+
+        results, stats = asyncio.run(scenario())
+        assert sorted(r["seed"] for _, (r,) in results) == list(range(65))
+        assert seen == [64, 1]
+        assert stats["counters"]["batches"] == 2
+        assert stats["autotune"]["window_ms"] > 4.0
 
 
 class TestServiceIntegration:
     def test_autotuned_daemon_exposes_and_steers(self, tmp_path):
-        """End-to-end: live /v1/stats autotune section + reconfigures."""
+        """End-to-end: live /v1/stats autotune section and the ledger."""
         trace = make_trace(
             "poisson", rate=120.0, duration_s=1.5, seed=4242
         )
         with BackgroundService(
             cache_dir=str(tmp_path / "cache"),
             autotune=True,
-            autotune_interval_ms=50.0,
         ) as svc:
             with ServiceClient(port=svc.port) as client:
                 baseline = client.stats()
                 assert baseline["autotune"]["enabled"] is True
-                assert baseline["autotune"]["interval_ms"] == 50.0
-                WorkloadReplayer(port=svc.port).run(trace)
+                result = WorkloadReplayer(port=svc.port).run(trace)
                 stats = client.stats()
-            autotune = stats["autotune"]
-            assert autotune["observations"] > 0
-            assert autotune["rate_rps"] is not None
-            # 120 computed points/s is past the default 20 rps knee, so
-            # the controller must have widened the window at least once.
-            assert autotune["applied"] > 0
-            assert stats["counters"]["reconfigures"] > 0
-            assert autotune["last_decision"]["batch_window_ms"] > (
-                autotune["config"]["window_floor_ms"]
-            )
+        assert all(r.ok for r in result.requests)
+        autotune = stats["autotune"]
+        assert autotune["rate_rps"] > 0
+        assert autotune["rows_per_point"] > 0
+        # 120 computed points/s is past the 20 rps knee, so the window
+        # must sit above the floor -- and config reports the live one.
+        assert autotune["window_ms"] > AUTOTUNE_WINDOW_FLOOR_MS
+        assert stats["config"]["batch_window_ms"] == autotune["window_ms"]
+        # Exactly-once accounting while the window moves: every point
+        # is a cache hit, coalesced, or computed once.
+        counters = stats["counters"]
+        assert counters["requests"] == len(trace)
+        assert counters["points"] == len(trace)
+        assert counters["points"] == (
+            counters["cache_hits"]
+            + counters["coalesced"]
+            + counters["computed"]
+        )
+        assert counters["engine_points"] == counters["computed"]
+        assert stats["queued"] == 0
+        assert stats["inflight"] == 0
 
     def test_static_daemon_reports_disabled(self, tmp_path):
         with BackgroundService(

@@ -1,278 +1,225 @@
-"""Live-retuning edge cases: the scheduler never drops or duplicates.
+"""Self-retuning edge cases: the adaptive window never drops or duplicates.
 
-:meth:`MicroBatchScheduler.reconfigure` is the seam the adaptive
-controller drives, and it retunes a scheduler *while it is batching*.
-These tests pin the dangerous corners:
+With ``autotune`` on, :class:`MicroBatchScheduler` resets its own
+window at every collection, so the window changes *while the scheduler
+is batching*.  These tests pin the dangerous corners:
 
-* ``batch_window_ms=0`` under concurrent load -- immediate dispatch
-  must still answer every request exactly once;
-* reconfiguring while a batch is draining -- queued points ride the
-  next cut under the new knobs, none lost, none evaluated twice;
-* shrinking ``pack_rows`` mid-flight below a single point's rows --
-  the point still dispatches alone, as at construction time;
+* the window falling to its floor mid-stream under concurrent load --
+  answers keep flowing, each exactly once, equal to
+  :func:`evaluate_point`;
+* the window retuned while a slow batch is still evaluating -- the
+  next wave rides the next cut under the new window, none lost, none
+  evaluated twice;
 
 with the accounting cross-checked end-to-end through ``/v1/stats`` on
-a real daemon (``points == cache_hits + coalesced + computed`` and
+a real daemon whose window moves during a replay
+(``points == cache_hits + coalesced + computed`` and
 ``engine_points == computed`` -- the exactly-once ledger).
 """
 
 import asyncio
+import threading
 import time
 
-import pytest
-
+from repro.campaign.executor import evaluate_point, evaluate_points
 from repro.campaign.spec import ScenarioPoint, platform_to_dict
+from repro.loadgen.replay import WorkloadReplayer
 from repro.loadgen.traces import make_trace
 from repro.platforms.catalog import hera
 from repro.service.client import ServiceClient
-from repro.service.scheduler import MicroBatchScheduler
+from repro.service.scheduler import (
+    AUTOTUNE_WINDOW_CEIL_MS,
+    AUTOTUNE_WINDOW_FLOOR_MS,
+    MicroBatchScheduler,
+)
 from repro.service.server import BackgroundService
 
 PLATFORM = platform_to_dict(hera())
 
 
-class EchoEvaluate:
-    """A controllable stand-in engine: optional delay, exact ledger."""
-
-    def __init__(self, delay_s: float = 0.0):
-        self.delay_s = delay_s
-        self.calls = 0
-        self.seen = []  # every point the engine ever evaluated
-
-    def __call__(self, points):
-        self.calls += 1
-        if self.delay_s:
-            time.sleep(self.delay_s)
-        self.seen.extend(points)
-        return [{"seed": p.seed} for p in points]
-
-
-def _point(seed, n_patterns=4, n_runs=3):
+def _point(seed):
     return ScenarioPoint(
         mode="simulate",
         kind="PDMV",
         platform=PLATFORM,
-        n_patterns=n_patterns,
-        n_runs=n_runs,
+        n_patterns=4,
+        n_runs=3,
         seed=seed,
     )
 
 
-def _run(coro):
-    return asyncio.run(coro)
-
-
-async def _with_scheduler(fn, **kwargs):
-    scheduler = MicroBatchScheduler(cache=None, **kwargs)
-    await scheduler.start()
-    try:
-        return await fn(scheduler)
-    finally:
-        await scheduler.close()
+def _ledger_closes(counters):
+    return counters["points"] == (
+        counters["cache_hits"] + counters["coalesced"] + counters["computed"]
+    )
 
 
 class TestZeroWindow:
-    def test_zero_window_concurrent_load_exactly_once(self):
-        """Immediate dispatch under 32-way concurrency: no loss, no dup."""
-        engine = EchoEvaluate()
+    def test_reconfigure_to_zero_window_under_load(self):
+        """The window falls to its floor mid-stream; answers keep flowing."""
 
-        async def scenario(scheduler):
-            results = await asyncio.gather(
-                *(
-                    scheduler.submit([_point(seed)])
-                    for seed in range(32)
-                )
-            )
-            return results, scheduler.stats()
+        async def scenario():
+            scheduler = MicroBatchScheduler(cache=None, autotune=True)
+            await scheduler.start()
+            try:
+                # Three back-to-back 32-point bursts push the rate past
+                # the knee...
+                burst = []
+                for wave in range(3):
+                    burst += await asyncio.gather(
+                        *(
+                            scheduler.submit([_point(s)])
+                            for s in range(32 * wave, 32 * (wave + 1))
+                        )
+                    )
+                burst_window = scheduler.stats()["autotune"]["window_ms"]
+                # ...then a trickle, one point per 200 ms, decays it to
+                # the floor while requests are still arriving.
+                trickle, windows = [], []
+                for seed in range(96, 104):
+                    await asyncio.sleep(0.2)
+                    trickle.append(await scheduler.submit([_point(seed)]))
+                    windows.append(scheduler.stats()["autotune"]["window_ms"])
+                return burst + trickle, burst_window, windows, scheduler.stats()
+            finally:
+                await scheduler.close()
 
-        results, stats = _run(
-            _with_scheduler(scenario, batch_window_ms=0.0, evaluate=engine)
-        )
-        answered = sorted(r["seed"] for _, (r,) in results)
-        assert answered == list(range(32))
+        results, burst_window, windows, stats = asyncio.run(scenario())
+        assert len(results) == 104
+        for seed, (keys, (record,)) in zip(range(104), results):
+            assert record == evaluate_point(_point(seed))
+        assert burst_window > AUTOTUNE_WINDOW_FLOOR_MS
+        # Fed ever sparser samples, the window only ever shrinks...
+        assert windows == sorted(windows, reverse=True)
+        assert windows[0] <= burst_window
+        # ...and ends on the floor, which config reports live.
+        assert windows[-1] == AUTOTUNE_WINDOW_FLOOR_MS
+        assert stats["config"]["batch_window_ms"] == AUTOTUNE_WINDOW_FLOOR_MS
         counters = stats["counters"]
-        assert counters["computed"] == 32
-        assert counters["engine_points"] == 32
+        assert counters["computed"] == 104
+        assert counters["engine_points"] == 104
         assert counters["coalesced"] == 0
-        assert sorted(p.seed for p in engine.seen) == list(range(32))
+        assert _ledger_closes(counters)
         assert stats["queued"] == 0
         assert stats["queued_rows"] == 0
-
-    def test_reconfigure_to_zero_window_under_load(self):
-        """Dropping the window to 0 mid-stream keeps answers flowing."""
-        engine = EchoEvaluate()
-
-        async def scenario(scheduler):
-            first = asyncio.gather(
-                *(scheduler.submit([_point(s)]) for s in range(8))
-            )
-            scheduler.reconfigure(batch_window_ms=0.0)
-            second = asyncio.gather(
-                *(scheduler.submit([_point(s)]) for s in range(8, 16))
-            )
-            return await first, await second, scheduler.stats()
-
-        first, second, stats = _run(
-            _with_scheduler(scenario, batch_window_ms=20.0, evaluate=engine)
-        )
-        assert sorted(r["seed"] for _, (r,) in first + second) == list(
-            range(16)
-        )
-        assert stats["config"]["batch_window_ms"] == 0.0
-        assert stats["counters"]["reconfigures"] == 1
-        assert stats["counters"]["engine_points"] == 16
+        assert stats["inflight"] == 0
 
 
 class TestReconfigureWhileDraining:
     def test_retune_during_slow_batch(self):
-        """Knob changes while the engine is busy never lose points."""
-        engine = EchoEvaluate(delay_s=0.05)
+        """A window retuned while the engine is busy never loses points."""
+        windows = []  # (window at call start, window at call end)
+        seen = []
 
-        async def scenario(scheduler):
-            # Wave 1 cuts a batch that holds the (slow) engine...
-            wave1 = asyncio.gather(
-                *(scheduler.submit([_point(s)]) for s in range(4))
-            )
-            await asyncio.sleep(0.02)  # batch now evaluating
-            # ...retune while it drains, then pile on wave 2.
-            scheduler.reconfigure(batch_window_ms=1.0, pack_rows=24)
-            wave2 = asyncio.gather(
-                *(scheduler.submit([_point(s)]) for s in range(4, 12))
-            )
-            return await wave1, await wave2, scheduler.stats()
+        async def scenario():
+            scheduler = None
 
-        wave1, wave2, stats = _run(
-            _with_scheduler(scenario, batch_window_ms=5.0, evaluate=engine)
-        )
-        assert sorted(r["seed"] for _, (r,) in wave1 + wave2) == list(
-            range(12)
-        )
+            def slow_evaluate(points):
+                start = scheduler.batch_window_ms
+                time.sleep(0.1)
+                seen.extend(p.seed for p in points)
+                records = evaluate_points(points)
+                windows.append((start, scheduler.batch_window_ms))
+                return records
+
+            scheduler = MicroBatchScheduler(
+                cache=None, autotune=True, evaluate=slow_evaluate
+            )
+            await scheduler.start()
+
+            async def wave(seeds, delay_s):
+                await asyncio.sleep(delay_s)
+                return await asyncio.gather(
+                    *(scheduler.submit([_point(s)]) for s in seeds)
+                )
+
+            try:
+                # Wave 1 cuts a batch that holds the (slow) engine;
+                # wave 2 arrives 20 ms in, so its collection retunes
+                # the window while batch 1 is still evaluating.
+                waves = await asyncio.gather(
+                    wave(range(32), 0.0), wave(range(32, 40), 0.02)
+                )
+                return [r for w in waves for r in w], scheduler.stats()
+            finally:
+                await scheduler.close()
+
+        results, stats = asyncio.run(scenario())
+        assert len(results) == 40
+        for seed, (keys, (record,)) in zip(range(40), results):
+            assert record == evaluate_point(_point(seed))
+        # Two batches, one per wave; the first saw the window move
+        # under it.
+        assert len(windows) == 2
+        (start1, end1), _ = windows
+        assert end1 != start1
+        for window in (start1, end1):
+            assert (
+                AUTOTUNE_WINDOW_FLOOR_MS <= window <= AUTOTUNE_WINDOW_CEIL_MS
+            )
+        assert sorted(seen) == list(range(40))
         counters = stats["counters"]
-        assert counters["computed"] == 12
-        assert counters["engine_points"] == 12
-        assert sorted(p.seed for p in engine.seen) == list(range(12))
-        assert counters["points"] == (
-            counters["cache_hits"]
-            + counters["coalesced"]
-            + counters["computed"]
-        )
-
-    def test_shrink_pack_rows_mid_flight(self):
-        """pack_rows below one point's rows still dispatches it alone."""
-        engine = EchoEvaluate()
-
-        async def scenario(scheduler):
-            # A long window queues the points; nothing dispatches yet.
-            submits = [
-                asyncio.create_task(scheduler.submit([_point(s)]))
-                for s in range(6)
-            ]
-            await asyncio.sleep(0.05)
-            assert scheduler.stats()["queued"] == 6
-            # 1 row < the 12 rows of any queued point: the retune must
-            # wake the drain loop and cut single-point batches.
-            scheduler.reconfigure(pack_rows=1)
-            results = await asyncio.gather(*submits)
-            return results, scheduler.stats()
-
-        results, stats = _run(
-            _with_scheduler(
-                scenario, batch_window_ms=10_000.0, evaluate=engine
-            )
-        )
-        assert sorted(r["seed"] for _, (r,) in results) == list(range(6))
-        counters = stats["counters"]
-        assert counters["engine_points"] == 6
-        assert counters["batches"] == 6  # one point per batch
-        assert engine.calls == 6
+        assert counters["batches"] == 2
+        assert counters["computed"] == 40
+        assert counters["engine_points"] == 40
+        assert _ledger_closes(counters)
         assert stats["queued"] == 0
-        assert stats["queued_rows"] == 0
-
-    def test_backlog_rides_one_batch_under_new_knobs(self):
-        """A retune releases the queued backlog as one merged batch."""
-        engine = EchoEvaluate()
-
-        async def scenario(scheduler):
-            submits = [
-                asyncio.create_task(scheduler.submit([_point(s)]))
-                for s in range(6)
-            ]
-            await asyncio.sleep(0.05)
-            assert scheduler.stats()["queued_rows"] == 72  # 6 x (4x3)
-            # Zero window + a budget of exactly the backlog: the six
-            # queued points must ride ONE batch, not six.
-            scheduler.reconfigure(batch_window_ms=0.0, pack_rows=72)
-            results = await asyncio.gather(*submits)
-            return results, scheduler.stats()
-
-        results, stats = _run(
-            _with_scheduler(
-                scenario, batch_window_ms=10_000.0, evaluate=engine
-            )
-        )
-        assert sorted(r["seed"] for _, (r,) in results) == list(range(6))
-        assert stats["counters"]["batches"] == 1
-        assert stats["counters"]["max_batch_points"] == 6
-
-    def test_validation_and_idle_reconfigure(self):
-        scheduler = MicroBatchScheduler(cache=None)
-        with pytest.raises(ValueError, match="batch_window_ms"):
-            scheduler.reconfigure(batch_window_ms=-1.0)
-        with pytest.raises(ValueError, match="pack_rows"):
-            scheduler.reconfigure(pack_rows=0)
-        assert scheduler.stats()["counters"]["reconfigures"] == 0
-        # A non-running scheduler (no loop yet) still accepts retunes.
-        live = scheduler.reconfigure(batch_window_ms=2.5, pack_rows=10)
-        assert live == {"batch_window_ms": 2.5, "pack_rows": 10}
-        assert scheduler.stats()["counters"]["reconfigures"] == 1
-        # No-op call: nothing changes, nothing counted.
-        scheduler.reconfigure()
-        assert scheduler.stats()["counters"]["reconfigures"] == 1
+        assert stats["inflight"] == 0
 
 
 class TestStatsLedgerOverHTTP:
     def test_reconfigure_ledger_via_v1_stats(self, tmp_path):
         """The exactly-once ledger, asserted through a real daemon."""
         trace = make_trace(
-            "poisson", rate=80.0, duration_s=1.0, seed=909
+            "bursty",
+            rate=40.0,
+            duration_s=1.5,
+            seed=909,
+            shock_factor=8.0,
+            shock_decay_s=0.3,
         )
-        from repro.loadgen.replay import WorkloadReplayer
+        windows = []
+        done = threading.Event()
 
         with BackgroundService(
-            cache_dir=str(tmp_path / "cache"), batch_window_ms=8.0
+            cache_dir=str(tmp_path / "cache"), autotune=True
         ) as svc:
-            with ServiceClient(port=svc.port) as client:
-                # Retune from another thread mid-replay: the documented
-                # thread-safety contract of reconfigure().
-                replayer = WorkloadReplayer(port=svc.port)
-                import threading
+            # Read /v1/stats from another thread mid-replay, on its own
+            # connection, to watch the window move under the load.
+            def watch():
+                with ServiceClient(port=svc.port) as watcher:
+                    while not done.is_set():
+                        windows.append(
+                            watcher.stats()["autotune"]["window_ms"]
+                        )
+                        time.sleep(0.02)
 
-                def retune():
-                    time.sleep(0.3)
-                    svc.scheduler.reconfigure(
-                        batch_window_ms=0.5, pack_rows=50_000
-                    )
-
-                thread = threading.Thread(target=retune)
-                thread.start()
-                result = replayer.run(trace)
+            thread = threading.Thread(target=watch)
+            thread.start()
+            try:
+                result = WorkloadReplayer(port=svc.port).run(trace)
+            finally:
+                done.set()
                 thread.join()
+            with ServiceClient(port=svc.port) as client:
                 stats = client.stats()
         assert all(r.ok for r in result.requests)
         assert len(result.requests) == len(trace)
+        # The window moved during the replay, inside its bounds.
+        assert len(set(windows)) > 1
+        for window in windows:
+            assert (
+                AUTOTUNE_WINDOW_FLOOR_MS <= window <= AUTOTUNE_WINDOW_CEIL_MS
+            )
+        assert stats["config"]["batch_window_ms"] == (
+            stats["autotune"]["window_ms"]
+        )
+        # Exactly-once accounting while the window moves: every
+        # submitted point is a cache hit, coalesced, or computed once.
         counters = stats["counters"]
-        assert counters["reconfigures"] == 1
-        assert stats["config"]["batch_window_ms"] == 0.5
-        assert stats["config"]["pack_rows"] == 50_000
-        # Exactly-once accounting across the retune: every submitted
-        # point is either a cache hit, coalesced, or computed once.
         assert counters["requests"] == len(trace)
         assert counters["points"] == len(trace)
-        assert counters["points"] == (
-            counters["cache_hits"]
-            + counters["coalesced"]
-            + counters["computed"]
-        )
+        assert _ledger_closes(counters)
         assert counters["engine_points"] == counters["computed"]
         assert stats["queued"] == 0
         assert stats["inflight"] == 0

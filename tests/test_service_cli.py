@@ -38,6 +38,19 @@ class TestParsing:
         assert args.pack_rows == 5000
         assert args.port_file == "/tmp/p"
 
+    def test_serve_autotune_is_a_switch_only(self):
+        parser = build_parser()
+        args = parser.parse_args(["serve", "--autotune"])
+        assert args.autotune is True
+        serve = parser._subparsers._group_actions[0].choices["serve"]
+        flags = [
+            flag
+            for action in serve._actions
+            for flag in action.option_strings
+            if flag.startswith("--autotune")
+        ]
+        assert flags == ["--autotune"]
+
     def test_query_defaults(self):
         args = build_parser().parse_args(["query"])
         assert args.command == "query"
@@ -343,6 +356,37 @@ class TestPackaging:
         assert proc.returncode == 0
         for command in ("serve", "query", "campaign", "simulate"):
             assert command in proc.stdout
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        """scipy loads only for the numeric cross-checks that need it."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(root, "src"),
+                          env.get("PYTHONPATH", "")])
+        )
+        script = (
+            "import sys\n"
+            "import repro.cli, repro.service.server\n"
+            "from repro.campaign.executor import evaluate_point\n"
+            "from repro.campaign.spec import ScenarioPoint, "
+            "platform_to_dict\n"
+            "from repro.platforms.catalog import hera\n"
+            "evaluate_point(ScenarioPoint(mode='simulate', kind='PDMV',\n"
+            "    platform=platform_to_dict(hera()), n_patterns=4,\n"
+            "    n_runs=2, seed=9))\n"
+            "print([m for m in sys.modules\n"
+            "       if m.split('.')[0] == 'scipy'])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script_entry_declared(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

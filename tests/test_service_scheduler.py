@@ -445,3 +445,37 @@ class TestLifecycleAndErrors:
         record, stats = _run(_with_scheduler(scenario, cache=cache))
         assert record == evaluate_point(point)
         assert stats["counters"]["cache_put_failures"] == 1
+
+
+class TestZeroWindow:
+    def test_zero_window_concurrent_load_exactly_once(self, tiny_platform):
+        """Immediate dispatch under 32-way concurrency: no loss, no dup."""
+        seen = []
+
+        def echo(points):
+            seen.extend(points)
+            return [{"seed": p.seed} for p in points]
+
+        async def scenario(scheduler):
+            results = await asyncio.gather(
+                *(
+                    scheduler.submit([_point(tiny_platform, seed=seed)])
+                    for seed in range(32)
+                )
+            )
+            return results, scheduler.stats()
+
+        results, stats = _run(
+            _with_scheduler(
+                scenario, cache=None, batch_window_ms=0.0, evaluate=echo
+            )
+        )
+        answered = sorted(r["seed"] for _, (r,) in results)
+        assert answered == list(range(32))
+        counters = stats["counters"]
+        assert counters["computed"] == 32
+        assert counters["engine_points"] == 32
+        assert counters["coalesced"] == 0
+        assert sorted(p.seed for p in seen) == list(range(32))
+        assert stats["queued"] == 0
+        assert stats["queued_rows"] == 0
