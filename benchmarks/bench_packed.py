@@ -40,7 +40,7 @@ import numpy as np
 import pytest
 
 from _history import write_bench_record
-from repro.campaign.executor import run_campaign, _PointBuilds
+from repro.campaign.executor import run_campaign
 from repro.campaign.spec import ScenarioPoint, platform_to_dict
 from repro.core.builders import PATTERN_ORDER
 from repro.platforms.scaling import weak_scaling_platform
@@ -153,8 +153,10 @@ def test_packed_campaign_end_to_end(tmp_path, once):
     assert packed.records == per_point.records
 
     # -- engine-core comparison on the same configurations --------------
-    builds = _PointBuilds()
-    metas = [(p, *builds.optimal(p)) for p in auto_points]
+    metas = []
+    for p in auto_points:
+        config = p.configuration()
+        metas.append((p, config.optimal, config.sim_platform))
     n_inst = N_PATTERNS * N_RUNS
 
     def solo_engine():

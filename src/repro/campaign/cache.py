@@ -49,6 +49,20 @@ CACHE_SCHEMA = 1
 def cache_key(point: ScenarioPoint) -> str:
     """Stable content hash identifying a point's result.
 
+    :func:`_point_digest` runs once per point object; the key is kept on
+    the point outside its dataclass fields, so ``==`` and ``to_dict``
+    ignore it.
+    """
+    key = vars(point).get("_cache_key")
+    if key is None:
+        key = _point_digest(point)
+        object.__setattr__(point, "_cache_key", key)
+    return key
+
+
+def _point_digest(point: ScenarioPoint) -> str:
+    """SHA-256 of a point's canonical JSON description.
+
     Only fields that influence the computed numbers participate:
     ``labels`` are presentation metadata and are excluded, and
     ``optimize`` points ignore the Monte-Carlo configuration entirely

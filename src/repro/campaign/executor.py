@@ -24,7 +24,10 @@ The executor turns a list of scenario points into result records:
    and a bit-identical re-run of the unfinished buckets, and a point
    that keeps killing workers is bisected out and ends the run with
    :class:`~repro.service.faults.PoisonPointError`, every other
-   finished point already journaled.
+   finished point already journaled.  The Table-1 optimum of each
+   (family, platform) configuration is memoised per process
+   (:meth:`~repro.campaign.spec.ScenarioPoint.configuration`), so a
+   worker optimises a configuration once across all its buckets.
 
 Every completed point is streamed to the journal (append-one-line,
 flushed) the moment it arrives, so an interrupted campaign loses at most
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -60,12 +63,7 @@ from repro.campaign.planner import (
     is_packable,
     plan_buckets,
 )
-from repro.campaign.spec import (
-    CampaignSpec,
-    ScenarioPoint,
-    pattern_kind,
-    platform_from_dict,
-)
+from repro.campaign.spec import CampaignSpec, Configuration, ScenarioPoint
 from repro.io import scan_jsonl
 
 
@@ -92,54 +90,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _PointBuilds:
-    """Per-chunk memo of point materialisation and model optimisation.
-
-    Scenario points travel as JSON-friendly dicts; a chunk routinely
-    repeats the same platform (family comparisons) or the same
-    (kind, platform) cell (duplicate grid points), so the Platform /
-    PatternKind / Table-1 resolution is paid once per distinct value
-    per chunk instead of once per point.
-    """
-
-    def __init__(self) -> None:
-        self._platforms: Dict[str, Any] = {}
-        self._kinds: Dict[str, Any] = {}
-        self._opts: Dict[Tuple[str, str], Any] = {}
-
-    def _platform_key(self, point: ScenarioPoint) -> str:
-        return json.dumps(dict(point.platform), sort_keys=True)
-
-    def kind(self, point: ScenarioPoint):
-        kind = self._kinds.get(point.kind)
-        if kind is None:
-            kind = pattern_kind(point.kind)
-            self._kinds[point.kind] = kind
-        return kind
-
-    def platform(self, point: ScenarioPoint):
-        key = self._platform_key(point)
-        plat = self._platforms.get(key)
-        if plat is None:
-            plat = platform_from_dict(point.platform)
-            self._platforms[key] = plat
-        return plat
-
-    def optimal(self, point: ScenarioPoint):
-        """``(OptimalPattern, simulation platform)`` for a simulate point."""
-        from repro.core.formulas import optimal_pattern, simulation_costs
-
-        key = (point.kind, self._platform_key(point))
-        entry = self._opts.get(key)
-        if entry is None:
-            kind = self.kind(point)
-            platform = self.platform(point)
-            opt = optimal_pattern(kind, platform)
-            entry = (opt, simulation_costs(kind, platform))
-            self._opts[key] = entry
-        return entry
-
-
 def _analytic_record(point: ScenarioPoint) -> Dict[str, Any]:
     """The analytic-tier record for one point (single-cell batch).
 
@@ -153,12 +103,15 @@ def _analytic_record(point: ScenarioPoint) -> Dict[str, Any]:
     return {"mode": point.mode, "engine": "analytic", **rec}
 
 
-def _model_record(point: ScenarioPoint, kind, platform, opt) -> Dict[str, Any]:
+def _model_record(
+    point: ScenarioPoint, config: Configuration
+) -> Dict[str, Any]:
     """The Table-1 optimisation fields shared by every simulate record."""
+    opt = config.optimal
     return {
         "mode": point.mode,
-        "kind": kind.value,
-        "platform_name": platform.name,
+        "kind": config.kind.value,
+        "platform_name": config.platform.name,
         "H*": float(opt.H_star),
         "W_star": float(opt.W_star),
         "W*_hours": float(opt.W_star / 3600.0),
@@ -298,30 +251,30 @@ def _packed_mc_fields_batch(
     return out
 
 
-def _evaluate_point_built(
-    point: ScenarioPoint, builds: _PointBuilds
-) -> Dict[str, Any]:
-    """Evaluate one point with the chunk's shared builds memo."""
+def evaluate_point(point: ScenarioPoint) -> Dict[str, Any]:
+    """Compute the result record for one scenario point.
+
+    ``simulate`` mode is the paper's experimental unit: Table-1
+    optimisation followed by a Monte-Carlo campaign on the dispatched
+    engine tier -- unless the point requests ``engine="analytic"``, in
+    which case the vectorised model layer answers without sampling.
+    ``optimize`` mode stops after the model-level optimisation.  The
+    record contains only JSON-safe scalars and excludes the point labels.
+    """
     if point.mode == "simulate" and point.engine == "analytic":
         return _analytic_record(point)
 
-    kind = builds.kind(point)
-    platform = builds.platform(point)
+    config = point.configuration()
+    record = _model_record(point, config)
     if point.mode == "optimize":
-        from repro.core.formulas import optimal_pattern
-
-        return _model_record(
-            point, kind, platform, optimal_pattern(kind, platform)
-        )
-
-    opt, sim_platform = builds.optimal(point)
-    record = _model_record(point, kind, platform, opt)
+        return record
+    opt = config.optimal
 
     from repro.simulation.runner import run_monte_carlo
 
     res = run_monte_carlo(
         opt.pattern,
-        sim_platform,
+        config.sim_platform,
         n_patterns=point.n_patterns,
         n_runs=point.n_runs,
         seed=point.seed,
@@ -335,19 +288,6 @@ def _evaluate_point_built(
         )
     )
     return record
-
-
-def evaluate_point(point: ScenarioPoint) -> Dict[str, Any]:
-    """Compute the result record for one scenario point.
-
-    ``simulate`` mode is the paper's experimental unit: Table-1
-    optimisation followed by a Monte-Carlo campaign on the dispatched
-    engine tier -- unless the point requests ``engine="analytic"``, in
-    which case the vectorised model layer answers without sampling.
-    ``optimize`` mode stops after the model-level optimisation.  The
-    record contains only JSON-safe scalars and excludes the point labels.
-    """
-    return _evaluate_point_built(point, _PointBuilds())
 
 
 def evaluate_points(
@@ -370,8 +310,11 @@ def evaluate_points(
       :class:`~repro.core.batch.PlatformGrid` and answered by a single
       vectorised :func:`~repro.core.batch.analytic_records` call;
     * every other point (explicit tiers, ``auto`` requests that
-      dispatch to ``fast-pd``, optimize points) is evaluated on its own,
-      with a shared platform/kind/optimisation memo.
+      dispatch to ``fast-pd``, optimize points) goes through
+      :func:`evaluate_point`.
+
+    Kinds, platforms and Table-1 optima come from the process-wide
+    memo (:meth:`ScenarioPoint.configuration`), not once per batch.
 
     Per-point records are **bit-identical** to :func:`evaluate_point`
     whatever the batch holds, so batching, packing and worker count are
@@ -384,16 +327,16 @@ def evaluate_points(
     )
 
     out: List[Optional[Dict[str, Any]]] = [None] * len(points)
-    builds = _PointBuilds()
     jobs: List[PackedJob] = []
-    packed_meta: List[Tuple[int, Any, str]] = []
+    packed_meta: List[Tuple[int, Configuration, str]] = []
     analytic_by_kind: Dict[str, List[int]] = {}
     for i, point in enumerate(points):
         if point.mode == "simulate" and point.engine == "analytic":
             analytic_by_kind.setdefault(point.kind, []).append(i)
             continue
         if is_packable(point):
-            opt, sim_platform = builds.optimal(point)
+            config = point.configuration()
+            opt = config.optimal
             tier = select_engine(
                 opt.pattern,
                 fail_stop_in_operations=point.fail_stop_in_operations,
@@ -403,13 +346,13 @@ def evaluate_points(
                 rng = tier_rng(
                     point.seed,
                     opt.pattern,
-                    sim_platform,
+                    config.sim_platform,
                     point.fail_stop_in_operations,
                 )
                 jobs.append(
                     PackedJob(
                         opt.pattern,
-                        sim_platform,
+                        config.sim_platform,
                         point.n_runs * point.n_patterns,
                         rng,
                         fail_stop_in_operations=(
@@ -417,9 +360,9 @@ def evaluate_points(
                         ),
                     )
                 )
-                packed_meta.append((i, opt, tier.value))
+                packed_meta.append((i, config, tier.value))
                 continue
-        out[i] = _evaluate_point_built(point, builds)
+        out[i] = evaluate_point(point)
     if analytic_by_kind:
         from repro.core.batch import PlatformGrid, analytic_records
 
@@ -445,7 +388,7 @@ def evaluate_points(
         for (n_runs, per_run), positions in groups.items():
             group = [
                 (points[packed_meta[pos][0]], packed_meta[pos][2],
-                 packed_meta[pos][1].H_star)
+                 packed_meta[pos][1].optimal.H_star)
                 for pos in positions
             ]
             mc_fields = _packed_mc_fields_batch(
@@ -455,11 +398,8 @@ def evaluate_points(
                 per_run,
             )
             for pos, fields in zip(positions, mc_fields):
-                i, opt, _ = packed_meta[pos]
-                point = points[i]
-                record = _model_record(
-                    point, builds.kind(point), builds.platform(point), opt
-                )
+                i, config, _ = packed_meta[pos]
+                record = _model_record(points[i], config)
                 record.update(fields)
                 out[i] = record
     return out  # type: ignore[return-value]

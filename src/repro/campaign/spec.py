@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core import formulas
 from repro.core.builders import PatternKind
 from repro.platforms.platform import Platform, ResilienceCosts
 from repro.simulation.dispatch import ENGINE_CHOICES
@@ -39,16 +41,26 @@ def platform_to_dict(platform: Platform) -> Dict[str, Any]:
     }
 
 
+def _platform_token(data: Mapping[str, Any]) -> Tuple[Any, ...]:
+    """The hashable form of a platform dict.
+
+    Exactly the values that reach a :class:`Platform`: the name as a
+    string, then nodes, rates and the costs in :data:`_COST_FIELDS` order.
+    """
+    costs = data["costs"]
+    return (str(data["name"]), data["nodes"], data["lambda_f"],
+            data["lambda_s"], *(costs[f] for f in _COST_FIELDS))
+
+
+def _platform_from_token(token: Tuple[Any, ...]) -> Platform:
+    name, nodes, lambda_f, lambda_s, *costs = token
+    return Platform(name, int(nodes), float(lambda_f), float(lambda_s),
+                    ResilienceCosts(*map(float, costs)))
+
+
 def platform_from_dict(data: Mapping[str, Any]) -> Platform:
     """Rebuild a :class:`Platform` from :func:`platform_to_dict` output."""
-    costs = data["costs"]
-    return Platform(
-        name=str(data["name"]),
-        nodes=int(data["nodes"]),
-        lambda_f=float(data["lambda_f"]),
-        lambda_s=float(data["lambda_s"]),
-        costs=ResilienceCosts(**{f: float(costs[f]) for f in _COST_FIELDS}),
-    )
+    return _platform_from_token(_platform_token(data))
 
 
 def pattern_kind(value: str) -> PatternKind:
@@ -60,6 +72,33 @@ def pattern_kind(value: str) -> PatternKind:
         f"unknown pattern family {value!r}; "
         f"available: {', '.join(k.value for k in PatternKind)}"
     )
+
+
+@dataclass(frozen=True)
+class Configuration:
+    """A (pattern family, platform) pair and its Table-1 optimum.
+
+    The optimum and the simulator's platform view are computed on first
+    use and kept; all of it is frozen, so one instance serves every
+    point, batch and thread.
+    """
+
+    kind: PatternKind
+    platform: Platform
+
+    @cached_property
+    def optimal(self) -> formulas.OptimalPattern:
+        return formulas.optimal_pattern(self.kind, self.platform)
+
+    @cached_property
+    def sim_platform(self) -> Platform:
+        return formulas.simulation_costs(self.kind, self.platform)
+
+
+@lru_cache(maxsize=4096)  # sized like dispatch._config_entropy_cached
+def _configuration(kind: str, token: Tuple[Any, ...]) -> Configuration:
+    # A failed build raises and is not cached.
+    return Configuration(pattern_kind(kind), _platform_from_token(token))
 
 
 @dataclass(frozen=True)
@@ -174,6 +213,13 @@ class ScenarioPoint:
     def build_kind(self) -> PatternKind:
         """Materialise the pattern family for this point."""
         return pattern_kind(self.kind)
+
+    def configuration(self) -> Configuration:
+        """This point's family and platform from the process-wide memo.
+
+        Raises like :meth:`build_platform` for an invalid platform.
+        """
+        return _configuration(self.kind, _platform_token(self.platform))
 
 
 @dataclass(frozen=True)

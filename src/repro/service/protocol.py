@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.campaign.spec import (
     CampaignSpec,
     ScenarioPoint,
-    platform_from_dict,
     platform_to_dict,
 )
 
@@ -104,7 +103,7 @@ def point_from_request(data: Any) -> ScenarioPoint:
         desc.setdefault("seed", DEFAULT_SEED)
     try:
         point = ScenarioPoint.from_dict(desc)
-        platform_from_dict(point.platform)  # validate the parameter vector
+        point.configuration()  # validate the platform; memoised if valid
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid scenario point: {exc}") from None
     return point

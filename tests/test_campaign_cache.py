@@ -117,7 +117,42 @@ class TestCacheKey:
 
         before = cache_key(point)
         monkeypatch.setattr(cache_mod, "SEMANTICS_VERSION", 9999)
-        assert cache_key(point) != before
+        # Keys are computed once per point object, so the version bump
+        # shows on a point built after it.
+        fresh = ScenarioPoint.from_dict(point.to_dict())
+        assert cache_key(fresh) != before
+        assert cache_key(point) == before
+
+
+class TestKeyMemo:
+    def test_key_is_computed_once_per_point(self, point, monkeypatch):
+        import repro.campaign.cache as cache_mod
+
+        digests = []
+        original = cache_mod._point_digest
+        monkeypatch.setattr(
+            cache_mod, "_point_digest",
+            lambda p: digests.append(p) or original(p),
+        )
+        fresh = ScenarioPoint.from_dict(point.to_dict())
+        key = cache_key(fresh)
+        assert cache_key(fresh) == key
+        assert len(digests) == 1
+
+    def test_memo_is_invisible_to_fields(self, point):
+        twin = ScenarioPoint.from_dict(point.to_dict())
+        before = point.to_dict()
+        key = cache_key(point)
+        assert point == twin and point.to_dict() == before
+        assert cache_key(twin) == key
+
+    def test_key_travels_with_a_pickled_point(self, point):
+        import pickle
+
+        key = cache_key(point)
+        clone = pickle.loads(pickle.dumps(point))
+        assert clone == point
+        assert vars(clone)["_cache_key"] == key
 
 
 class TestResultCache:

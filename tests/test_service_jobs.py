@@ -297,6 +297,30 @@ class TestJobManager:
             "points": 3, "done": 3, "failed": 0, "pending": 0,
         }
 
+    def test_job_hashes_each_point_once(self, tiny_platform, monkeypatch):
+        """Submit and the scheduler share one cache-key digest per point."""
+        import repro.campaign.cache as cache_mod
+
+        digests = []
+        original = cache_mod._point_digest
+
+        def counting(point):
+            digests.append(point)
+            return original(point)
+
+        monkeypatch.setattr(cache_mod, "_point_digest", counting)
+        spec = _six_kind_spec(tiny_platform)
+
+        async def scenario(manager, scheduler):
+            job = await manager.submit(spec, "alice")
+            await _wait_terminal(job)
+            return job
+
+        job = _run(_with_manager(scenario))
+        assert job.state == "done"
+        assert len(job.points) == 6
+        assert len(digests) == len(job.points)
+
     def test_results_stream_in_point_order_with_paging(
         self, tiny_platform
     ):
