@@ -15,7 +15,10 @@ The executor turns a list of scenario points into result records:
    per-task submission overhead that a one-future-per-point pool pays;
 4. each bucket is one :func:`evaluate_points` call, in-process or, with
    several workers, on the same :class:`~repro.service.fleet.EvalFleet`
-   process pool the daemon uses.  A mega-batch is one vectorised
+   process pool the daemon uses.  One such pool per process serves
+   every campaign: the first multi-worker campaign forks it, later ones
+   reuse it warm (a bigger worker count forks a bigger one), and it
+   closes at interpreter exit.  A mega-batch is one vectorised
    :func:`~repro.simulation.packed_engine.simulate_packed_batch` call,
    and per-point records are bit-identical to solo fast-tier runs (the
    packed engine's draw-identity contract), so packing is invisible to
@@ -24,8 +27,10 @@ The executor turns a list of scenario points into result records:
    and a bit-identical re-run of the unfinished buckets, and a point
    that keeps killing workers is bisected out and ends the run with
    :class:`~repro.service.faults.PoisonPointError`, every other
-   finished point already journaled.  The Table-1 optimum of each
-   (family, platform) configuration is memoised per process
+   finished point already journaled; it stays quarantined for the
+   life of the process, as in the daemon.  A run that stops early
+   cancels its buckets that have not started.  The Table-1 optimum of
+   each (family, platform) configuration is memoised per process
    (:meth:`~repro.campaign.spec.ScenarioPoint.configuration`), so a
    worker optimises a configuration once across all its buckets.
 
@@ -43,12 +48,17 @@ entries and journal lines.
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
+import threading
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -65,6 +75,9 @@ from repro.campaign.planner import (
 )
 from repro.campaign.spec import CampaignSpec, Configuration, ScenarioPoint
 from repro.io import scan_jsonl
+
+if TYPE_CHECKING:
+    from repro.service.fleet import EvalFleet
 
 
 class CampaignConfigError(ValueError):
@@ -535,11 +548,13 @@ def run_campaign(
         recomputed (resume); completed points are appended as they finish.
         Corrupt/truncated lines are skipped (and counted on the result).
     n_workers:
-        Process count of the worker pool (an
-        :class:`~repro.service.fleet.EvalFleet`); default
-        :func:`available_cpus`.
-        ``1`` runs in-process (deterministic, no pool) but still journals
-        task by task.  The planner sizes the buckets from it.
+        Worker processes to use; default :func:`available_cpus`, capped
+        at the number of outstanding points.  The planner sizes the
+        buckets from it.  ``1`` runs in-process (deterministic, no pool)
+        but still journals bucket by bucket.  More run on the process's
+        resident :class:`~repro.service.fleet.EvalFleet`, forked by the
+        first such campaign and reused by later ones (a bigger count
+        forks a bigger pool); it closes at interpreter exit.
     pack_rows:
         Row budget (summed ``n_runs * n_patterns``) of one packed
         mega-batch; default :data:`DEFAULT_PACK_ROWS`.
@@ -558,6 +573,10 @@ def run_campaign(
         )
     if isinstance(cache, str):
         cache = ResultCache(cache)
+    # A point without a finite optimum (a zero cost its family divides
+    # by) fails the campaign here, before anything is journaled.
+    for point in points:
+        point.configuration()
 
     keys = [cache_key(p) for p in points]
     journal = Journal(journal_path)
@@ -662,9 +681,79 @@ def _execute(
             commit(bucket, evaluate_points([p for _, p in bucket]))
         return len(todo), n_packed
 
-    from repro.service.fleet import EvalFleet
-
-    with EvalFleet(workers) as fleet:
-        for bucket, records in fleet.run_buckets(buckets):
+    # closing(): a campaign that stops early cancels its unstarted
+    # buckets now, not when its traceback is collected.
+    with _campaign_fleet(workers) as fleet, closing(
+        fleet.run_buckets(buckets)
+    ) as landed:
+        for bucket, records in landed:
             commit(bucket, records)
     return len(todo), n_packed
+
+
+# -- the resident campaign pool ---------------------------------------------
+# One EvalFleet per process serves every multi-worker campaign: the first
+# forks it, later ones reuse it (grow only), and it closes at exit.
+_pool_lock = threading.Lock()
+_pool: Optional[EvalFleet] = None
+_pool_pid = 0  # the pid that forked _pool; a forked child never reuses it
+_pool_users: Dict[EvalFleet, int] = {}  # campaigns running per fleet
+
+
+@contextmanager
+def _campaign_fleet(workers: int) -> Iterator[EvalFleet]:
+    """Lend the resident pool to one campaign, forking or growing it.
+
+    A live pool of at least ``workers`` processes is reused as it is.
+    Otherwise a new one of ``workers`` processes replaces it; the old
+    one closes now if idle, else when its last campaign returns it.
+    """
+    global _pool, _pool_pid, _pool_users
+    from repro.service import fleet as fleet_mod
+
+    stale = None
+    with _pool_lock:
+        if _pool_pid != os.getpid():
+            _pool, _pool_pid, _pool_users = None, os.getpid(), {}
+        fleet = _pool
+        if (
+            fleet is None
+            or fleet.procs < workers
+            or fleet.stats()["broken"]
+        ):
+            if fleet is not None and fleet not in _pool_users:
+                stale = fleet
+            fleet = _pool = fleet_mod.EvalFleet(workers)
+        _pool_users[fleet] = _pool_users.get(fleet, 0) + 1
+    if stale is not None:
+        stale.close()
+    try:
+        yield fleet
+    finally:
+        with _pool_lock:
+            _pool_users[fleet] -= 1
+            idle = not _pool_users[fleet]
+            if idle:
+                del _pool_users[fleet]
+            retired = idle and fleet is not _pool
+        if retired:
+            fleet.close()
+
+
+def _close_campaign_pool() -> None:
+    """Close the resident campaign pool of this process, if idle.
+
+    Runs at interpreter exit; the test suite also calls it after every
+    test, so a pool forked in one test never carries that test's state
+    (monkeypatches, quarantine) into the next.  A pool still lent to a
+    campaign closes when that campaign returns it.
+    """
+    global _pool
+    with _pool_lock:
+        fleet, _pool = _pool, None
+        if fleet is None or _pool_pid != os.getpid() or fleet in _pool_users:
+            return
+    fleet.close()
+
+
+atexit.register(_close_campaign_pool)

@@ -63,11 +63,15 @@ def platform_from_dict(data: Mapping[str, Any]) -> Platform:
     return _platform_from_token(_platform_token(data))
 
 
+_KIND_BY_NAME = {kind.value: kind for kind in PatternKind}
+
+
 def pattern_kind(value: str) -> PatternKind:
     """Look up a :class:`PatternKind` by its Table-1 name (e.g. ``"PDMV"``)."""
-    for kind in PatternKind:
-        if kind.value == value:
-            return kind
+    try:
+        return _KIND_BY_NAME[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        pass
     raise ValueError(
         f"unknown pattern family {value!r}; "
         f"available: {', '.join(k.value for k in PatternKind)}"
@@ -80,11 +84,15 @@ class Configuration:
 
     The optimum and the simulator's platform view are computed on first
     use and kept; all of it is frozen, so one instance serves every
-    point, batch and thread.
+    point, batch and thread.  Construction rejects a pair without a
+    finite optimum (:func:`~repro.core.formulas.check_costs`).
     """
 
     kind: PatternKind
     platform: Platform
+
+    def __post_init__(self) -> None:
+        formulas.check_costs(self.kind, self.platform)
 
     @cached_property
     def optimal(self) -> formulas.OptimalPattern:

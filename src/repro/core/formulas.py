@@ -76,6 +76,30 @@ class OptimalPattern:
         return self.W_star * (1.0 + self.H_star)
 
 
+#: The costs each family's continuous optimum divides by (Theorems 2-4);
+#: at zero the family has no finite optimal pattern.
+_DIVISOR_COSTS: Dict[PatternKind, Tuple[str, ...]] = {
+    PatternKind.PDV_STAR: ("V_star",),
+    PatternKind.PDV: ("V",),
+    PatternKind.PDMV_STAR: ("C_M", "V_star"),
+    PatternKind.PDMV: ("V",),
+}
+
+
+def check_costs(kind: PatternKind, platform: Platform) -> None:
+    """Raise ``ValueError`` if ``kind`` cannot be optimised on ``platform``.
+
+    That is the case when a cost the family's optimum divides by is zero;
+    the message names the family and the cost.
+    """
+    for name in _DIVISOR_COSTS.get(kind, ()):
+        if getattr(platform, name) == 0.0:
+            raise ValueError(
+                f"{kind.value} has no optimal pattern with {name} = 0: "
+                f"its Table-1 optimum divides by {name}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Continuous optima per family (Table 1 middle columns)
 # ---------------------------------------------------------------------------
@@ -280,6 +304,7 @@ def optimal_pattern(
         raise ValueError(
             "platform has zero error rates; no finite optimal pattern exists"
         )
+    check_costs(kind, platform)
     n_cont = continuous_n_star(kind, platform)
     m_cont = continuous_m_star(kind, platform)
     if math.isinf(n_cont):

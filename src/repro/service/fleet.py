@@ -12,9 +12,11 @@ bucket as it lands so the campaign journal streams), and so gets the
 same crash recovery.
 
 * The pool is created once (fork context) -- at service startup, or
-  per campaign run -- and stays warm: each worker keeps its imports,
-  schedule/optimisation memo caches and NumPy buffers across batches,
-  so per-batch cost is IPC plus compute, never interpreter start-up.
+  by the first multi-worker campaign of a process, whose later
+  campaigns reuse it until exit -- and stays warm: each worker keeps
+  its imports, schedule/optimisation memo caches and NumPy buffers
+  across batches, so per-batch cost is IPC plus compute, never
+  interpreter start-up.
 * Each batch is carved into buckets by the **one planner every
   execution path uses** (:func:`repro.campaign.planner.plan_buckets`,
   also behind ``run_campaign`` and the jobs API), called with
@@ -387,15 +389,6 @@ class EvalFleet:
                     f"(eval call {fault.ordinal})"
                 )
             batch_fault = self._injector.fleet_batch()
-        if self._quarantine:
-            for point in points:
-                key = cache_key(point)
-                if key in self._quarantine:
-                    raise PoisonPointError(
-                        f"point {key} is quarantined: it repeatedly "
-                        "crashed fleet workers and will not be "
-                        "re-evaluated"
-                    )
         # Observability: the thread-local sink is armed by the
         # scheduler (same executor thread) only when a request trace
         # is riding this batch; its buckets then report per-worker
@@ -454,12 +447,23 @@ class EvalFleet:
         the rest are done.  A worker crash rebuilds the pool and
         re-executes what had not answered; a point that keeps crashing
         workers raises :class:`PoisonPointError` after every other
-        bucket ahead of it has been yielded.
+        bucket ahead of it has been yielded, and stays quarantined:
+        later runs that hold it raise before submitting anything.
 
         ``sink`` (a request trace riding the batch) receives one
         ``bucket`` span per answered bucket; ``kill`` is the chaos
         ``kill@N`` hook, fired once the first round is submitted.
         """
+        if self._quarantine:
+            for bucket in buckets:
+                for _, point in bucket:
+                    key = cache_key(point)
+                    if key in self._quarantine:
+                        raise PoisonPointError(
+                            f"point {key} is quarantined: it repeatedly "
+                            "crashed fleet workers and will not be "
+                            "re-evaluated"
+                        )
         timed = sink is not None
         # (bucket, crashes-so-far) work list; crashed buckets re-enter
         # it until their retry budget is spent, then split in half.
@@ -471,55 +475,64 @@ class EvalFleet:
         # bucket per round: a bucket that then crashes did it alone,
         # and only those solo crashes count.
         serial = False
-        while pending:
-            if serial:
-                round_items, pending = [pending[0]], pending[1:]
-            else:
-                round_items, pending = list(pending), []
-            in_flight = {}
-            for bucket, crashes in round_items:
-                generation, future, t_sub = self._submit_bucket(
-                    bucket, timed
-                )
-                in_flight[future] = (bucket, crashes, generation, t_sub)
-            if kill:
-                self._kill_one_worker()
-                kill = False
-            solo = len(in_flight) == 1
-            while in_flight:
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    bucket, crashes, generation, t_sub = in_flight.pop(
-                        future
+        in_flight: Dict[Future, Tuple[Bucket, int, int, float]] = {}
+        try:
+            while pending:
+                if serial:
+                    round_items, pending = [pending[0]], pending[1:]
+                else:
+                    round_items, pending = list(pending), []
+                in_flight = {}
+                for bucket, crashes in round_items:
+                    generation, future, t_sub = self._submit_bucket(
+                        bucket, timed
                     )
-                    try:
-                        answer = future.result()
-                    except BrokenProcessPool:
-                        self._ensure_rebuilt(generation)
-                        if solo:
-                            pending.extend(
-                                self._plan_retry(bucket, crashes + 1)
-                            )
-                        else:
-                            pending.append((bucket, crashes))
-                        serial = True
-                        continue
-                    if timed and isinstance(answer, dict):
-                        sink.add(
-                            "bucket",
-                            t_sub,
-                            time.perf_counter(),
-                            {
-                                "points": len(bucket),
-                                "rows": bucket_rows(bucket),
-                                "worker_pid": answer["pid"],
-                                "worker_eval_ms": round(
-                                    1e3 * answer["eval_s"], 3
-                                ),
-                            },
+                    in_flight[future] = (bucket, crashes, generation, t_sub)
+                if kill:
+                    self._kill_one_worker()
+                    kill = False
+                solo = len(in_flight) == 1
+                while in_flight:
+                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        bucket, crashes, generation, t_sub = in_flight.pop(
+                            future
                         )
-                        answer = answer["records"]
-                    yield bucket, answer
+                        try:
+                            answer = future.result()
+                        except BrokenProcessPool:
+                            self._ensure_rebuilt(generation)
+                            if solo:
+                                pending.extend(
+                                    self._plan_retry(bucket, crashes + 1)
+                                )
+                            else:
+                                pending.append((bucket, crashes))
+                            serial = True
+                            continue
+                        if timed and isinstance(answer, dict):
+                            sink.add(
+                                "bucket",
+                                t_sub,
+                                time.perf_counter(),
+                                {
+                                    "points": len(bucket),
+                                    "rows": bucket_rows(bucket),
+                                    "worker_pid": answer["pid"],
+                                    "worker_eval_ms": round(
+                                        1e3 * answer["eval_s"], 3
+                                    ),
+                                },
+                            )
+                            answer = answer["records"]
+                        yield bucket, answer
+        finally:
+            # A run that stops early (a poison point, an evaluation
+            # error, a caller that gives up) cancels its buckets that
+            # have not started, so a shared pool does not run them
+            # ahead of the next caller's.
+            for future in in_flight:
+                future.cancel()
 
     def _plan_retry(
         self, bucket: Bucket, crashes: int

@@ -29,6 +29,7 @@ or a bare spec object -- and registers it as a background job; see
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.spec import (
@@ -75,6 +76,14 @@ class ProtocolError(ValueError):
     """A malformed request; the server answers 400 with the message."""
 
 
+@lru_cache(maxsize=64)
+def _catalog_platform(name: str) -> Dict[str, Any]:
+    """The platform dict of a catalog name; shared, so never mutate it."""
+    from repro.platforms.catalog import get_platform
+
+    return platform_to_dict(get_platform(name))
+
+
 def point_from_request(data: Any) -> ScenarioPoint:
     """Build a :class:`ScenarioPoint` from one request item.
 
@@ -90,12 +99,11 @@ def point_from_request(data: Any) -> ScenarioPoint:
     desc = dict(data)
     platform = desc.get("platform")
     if isinstance(platform, str):
-        from repro.platforms.catalog import get_platform
-
         try:
-            desc["platform"] = platform_to_dict(get_platform(platform))
+            shared = _catalog_platform(platform)
         except KeyError as exc:
             raise ProtocolError(str(exc).strip('"')) from None
+        desc["platform"] = {**shared, "costs": dict(shared["costs"])}
     desc.setdefault("mode", "simulate")
     if desc["mode"] == "simulate" and desc.get("engine") != "analytic":
         desc.setdefault("n_patterns", DEFAULT_N_PATTERNS)

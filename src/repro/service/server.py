@@ -370,10 +370,11 @@ class ServiceServer:
         trace: Optional[RequestTrace] = None,
     ) -> Tuple[int, Any]:
         path, _, raw_query = path.partition("?")
-        query = {
-            k: v[0]
-            for k, v in urllib.parse.parse_qs(raw_query).items()
-        }
+        query = (
+            {k: v[0] for k, v in urllib.parse.parse_qs(raw_query).items()}
+            if raw_query
+            else {}
+        )
         if path == "/v1/health":
             if method != "GET":
                 return 405, {"error": f"{path} accepts GET only"}

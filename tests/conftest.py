@@ -9,6 +9,19 @@ from repro.platforms.catalog import atlas, coastal, coastal_ssd, hera
 from repro.platforms.platform import Platform, default_costs
 
 
+@pytest.fixture(autouse=True)
+def _fresh_campaign_pool():
+    """Close the resident campaign pool after each test.
+
+    Its workers are forked copies of the test process: a pool kept from
+    an earlier test would miss a later test's monkeypatches.
+    """
+    yield
+    from repro.campaign.executor import _close_campaign_pool
+
+    _close_campaign_pool()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic generator for unit tests."""
