@@ -16,9 +16,9 @@ The executor turns a list of scenario points into result records:
 4. each bucket is one :func:`evaluate_points` call, in-process or, with
    several workers, on the same :class:`~repro.service.fleet.EvalFleet`
    process pool the daemon uses.  One such pool per process serves
-   every campaign: the first multi-worker campaign forks it, later ones
-   reuse it warm (a bigger worker count forks a bigger one), and it
-   closes at interpreter exit.  A mega-batch is one vectorised
+   campaigns one at a time: the first multi-worker campaign forks it,
+   later ones reuse it warm (a bigger worker count forks a bigger one),
+   and it closes at interpreter exit.  A mega-batch is one vectorised
    :func:`~repro.simulation.packed_engine.simulate_packed_batch` call,
    and per-point records are bit-identical to solo fast-tier runs (the
    packed engine's draw-identity contract), so packing is invisible to
@@ -27,8 +27,9 @@ The executor turns a list of scenario points into result records:
    and a bit-identical re-run of the unfinished buckets, and a point
    that keeps killing workers is bisected out and ends the run with
    :class:`~repro.service.faults.PoisonPointError`, every other
-   finished point already journaled; it stays quarantined for the
-   life of the process, as in the daemon.  A run that stops early
+   finished point already journaled; the pool that convicted it keeps
+   refusing it for as long as it stays resident (normally until exit,
+   as the daemon's pool does).  A run that stops early
    cancels its buckets that have not started.  The Table-1 optimum of
    each (family, platform) configuration is memoised per process
    (:meth:`~repro.campaign.spec.ScenarioPoint.configuration`), so a
@@ -548,13 +549,18 @@ def run_campaign(
         recomputed (resume); completed points are appended as they finish.
         Corrupt/truncated lines are skipped (and counted on the result).
     n_workers:
-        Worker processes to use; default :func:`available_cpus`, capped
-        at the number of outstanding points.  The planner sizes the
-        buckets from it.  ``1`` runs in-process (deterministic, no pool)
-        but still journals bucket by bucket.  More run on the process's
-        resident :class:`~repro.service.fleet.EvalFleet`, forked by the
-        first such campaign and reused by later ones (a bigger count
-        forks a bigger pool); it closes at interpreter exit.
+        Most worker processes to run at once; default
+        :func:`available_cpus`, capped at the number of outstanding
+        points.  The planner sizes the buckets from it.  ``1`` runs
+        in-process (deterministic, no pool) but still journals bucket by
+        bucket.  More run on the process's resident
+        :class:`~repro.service.fleet.EvalFleet`: the first such campaign
+        forks it, later ones reuse it (a bigger count forks a bigger
+        one; a smaller count still runs at most ``n_workers`` buckets at
+        a time), and it closes at interpreter exit.  Its workers are
+        forks of the process as it was then, so code patched later does
+        not reach them.  A campaign that starts while another holds the
+        pool forks its own for the run.
     pack_rows:
         Row budget (summed ``n_runs * n_patterns``) of one packed
         mega-batch; default :data:`DEFAULT_PACK_ROWS`.
@@ -573,10 +579,6 @@ def run_campaign(
         )
     if isinstance(cache, str):
         cache = ResultCache(cache)
-    # A point without a finite optimum (a zero cost its family divides
-    # by) fails the campaign here, before anything is journaled.
-    for point in points:
-        point.configuration()
 
     keys = [cache_key(p) for p in points]
     journal = Journal(journal_path)
@@ -684,7 +686,7 @@ def _execute(
     # closing(): a campaign that stops early cancels its unstarted
     # buckets now, not when its traceback is collected.
     with _campaign_fleet(workers) as fleet, closing(
-        fleet.run_buckets(buckets)
+        fleet.run_buckets(buckets, width=workers)
     ) as landed:
         for bucket, records in landed:
             commit(bucket, records)
@@ -692,68 +694,63 @@ def _execute(
 
 
 # -- the resident campaign pool ---------------------------------------------
-# One EvalFleet per process serves every multi-worker campaign: the first
-# forks it, later ones reuse it (grow only), and it closes at exit.
+# One idle EvalFleet per process waits here between multi-worker
+# campaigns.  A campaign takes it out for its run and puts it back, so
+# each pool serves one campaign at a time: a worker crash is only ever
+# blamed on the points of the campaign that owns the pool.
 _pool_lock = threading.Lock()
 _pool: Optional[EvalFleet] = None
 _pool_pid = 0  # the pid that forked _pool; a forked child never reuses it
-_pool_users: Dict[EvalFleet, int] = {}  # campaigns running per fleet
 
 
 @contextmanager
 def _campaign_fleet(workers: int) -> Iterator[EvalFleet]:
-    """Lend the resident pool to one campaign, forking or growing it.
+    """Lend a pool of at least ``workers`` processes to one campaign.
 
-    A live pool of at least ``workers`` processes is reused as it is.
-    Otherwise a new one of ``workers`` processes replaces it; the old
-    one closes now if idle, else when its last campaign returns it.
+    The idle resident pool is reused if it is big enough; otherwise (or
+    while another campaign holds it) a new one is forked.  On return the
+    bigger of the returned and the resident pool stays; the other closes.
     """
-    global _pool, _pool_pid, _pool_users
+    global _pool, _pool_pid
     from repro.service import fleet as fleet_mod
 
-    stale = None
     with _pool_lock:
         if _pool_pid != os.getpid():
-            _pool, _pool_pid, _pool_users = None, os.getpid(), {}
-        fleet = _pool
-        if (
-            fleet is None
-            or fleet.procs < workers
-            or fleet.stats()["broken"]
-        ):
-            if fleet is not None and fleet not in _pool_users:
-                stale = fleet
-            fleet = _pool = fleet_mod.EvalFleet(workers)
-        _pool_users[fleet] = _pool_users.get(fleet, 0) + 1
-    if stale is not None:
-        stale.close()
+            _pool, _pool_pid = None, os.getpid()
+        fleet, _pool = _pool, None
+    if fleet is not None and (
+        fleet.procs < workers or fleet.stats()["broken"]
+    ):
+        fleet.close()
+        fleet = None
+    if fleet is None:
+        fleet = fleet_mod.EvalFleet(workers)
     try:
         yield fleet
     finally:
         with _pool_lock:
-            _pool_users[fleet] -= 1
-            idle = not _pool_users[fleet]
-            if idle:
-                del _pool_users[fleet]
-            retired = idle and fleet is not _pool
-        if retired:
+            if _pool_pid == os.getpid() and (
+                _pool is None or _pool.procs < fleet.procs
+            ):
+                fleet, _pool = _pool, fleet
+        if fleet is not None:
             fleet.close()
 
 
 def _close_campaign_pool() -> None:
-    """Close the resident campaign pool of this process, if idle.
+    """Close the idle resident campaign pool of this process, if any.
 
     Runs at interpreter exit; the test suite also calls it after every
     test, so a pool forked in one test never carries that test's state
-    (monkeypatches, quarantine) into the next.  A pool still lent to a
-    campaign closes when that campaign returns it.
+    (monkeypatches, quarantine) into the next.
     """
     global _pool
     with _pool_lock:
         fleet, _pool = _pool, None
-        if fleet is None or _pool_pid != os.getpid() or fleet in _pool_users:
+        if _pool_pid != os.getpid():
             return
-    fleet.close()
+    if fleet is not None:
+        fleet.close()
 
 
 atexit.register(_close_campaign_pool)

@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.builders import PatternKind, _equal
+from repro.core.formulas import check_costs
 from repro.platforms.platform import Platform, default_costs
 from repro.platforms.catalog import get_platform
 
@@ -692,6 +693,9 @@ def batch_optimal_patterns(
             "continuous chunk optimum is infinite in at least one grid "
             "cell; cannot round"
         )
+    # PDMV* with C_M = 0 keeps a finite m* here, but the scalar optimum
+    # it must replicate does not exist.
+    check_costs(kind, grid)
     n_cont_capped = np.where(np.isinf(n_cont), 1024.0, n_cont)
 
     # Chunk-count candidates: the scalar window

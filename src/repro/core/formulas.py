@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache as _lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.builders import (
     PATTERN_ORDER,
@@ -86,14 +88,15 @@ _DIVISOR_COSTS: Dict[PatternKind, Tuple[str, ...]] = {
 }
 
 
-def check_costs(kind: PatternKind, platform: Platform) -> None:
+def check_costs(kind: PatternKind, platform: Any) -> None:
     """Raise ``ValueError`` if ``kind`` cannot be optimised on ``platform``.
 
-    That is the case when a cost the family's optimum divides by is zero;
-    the message names the family and the cost.
+    That is the case when a cost the family's optimum divides by is zero
+    (on a :class:`~repro.core.batch.PlatformGrid`: in any cell); the
+    message names the family and the cost.
     """
     for name in _DIVISOR_COSTS.get(kind, ()):
-        if getattr(platform, name) == 0.0:
+        if np.any(getattr(platform, name) == 0.0):
             raise ValueError(
                 f"{kind.value} has no optimal pattern with {name} = 0: "
                 f"its Table-1 optimum divides by {name}"

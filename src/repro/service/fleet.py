@@ -105,6 +105,12 @@ from repro.service.obs import Observability, current_sink
 #: Pool-crash retries per bucket before bisection kicks in.
 DEFAULT_BUCKET_RETRIES = 2
 
+#: Serialises the worker forks of every fleet in the process.  A worker
+#: forked by one thread while another thread's pool is launching could
+#: inherit that pool's new worker's exit-sentinel pipe; the worker's
+#: death would then go unnoticed and its pool would wait forever.
+_FORK_LOCK = threading.Lock()
+
 
 def _warm_worker() -> None:
     """Pool initializer: pay the heavy imports once per worker.
@@ -265,9 +271,9 @@ class EvalFleet:
         # copy of live connection FDs, holding client connections open
         # long after the server closes them.
         try:
-            for prewarm in [
-                pool.submit(_noop) for _ in range(self.procs)
-            ]:
+            with _FORK_LOCK:  # the first submit forks every worker
+                prewarms = [pool.submit(_noop) for _ in range(self.procs)]
+            for prewarm in prewarms:
                 prewarm.result()
         except BaseException as exc:
             pool.shutdown(wait=False, cancel_futures=True)
@@ -438,6 +444,7 @@ class EvalFleet:
         *,
         sink: Optional[Any] = None,
         kill: bool = False,
+        width: Optional[int] = None,
     ) -> Iterator[Tuple[Bucket, List[Dict[str, Any]]]]:
         """Evaluate planned buckets; yield ``(bucket, records)`` as each lands.
 
@@ -453,6 +460,9 @@ class EvalFleet:
         ``sink`` (a request trace riding the batch) receives one
         ``bucket`` span per answered bucket; ``kill`` is the chaos
         ``kill@N`` hook, fired once the first round is submitted.
+        ``width`` caps the buckets running at once when it is below
+        ``procs`` (a campaign asking for fewer workers than the pool
+        has); they then run in rounds of ``width``.
         """
         if self._quarantine:
             for bucket in buckets:
@@ -475,13 +485,15 @@ class EvalFleet:
         # bucket per round: a bucket that then crashes did it alone,
         # and only those solo crashes count.
         serial = False
+        step = width if width is not None and width < self.procs else None
         in_flight: Dict[Future, Tuple[Bucket, int, int, float]] = {}
         try:
             while pending:
                 if serial:
                     round_items, pending = [pending[0]], pending[1:]
                 else:
-                    round_items, pending = list(pending), []
+                    cut = step or len(pending)
+                    round_items, pending = pending[:cut], pending[cut:]
                 in_flight = {}
                 for bucket, crashes in round_items:
                     generation, future, t_sub = self._submit_bucket(

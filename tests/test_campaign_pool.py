@@ -20,6 +20,7 @@ import pytest
 
 import repro.service.fleet as fleet_mod
 from repro.campaign import executor
+from repro.campaign.cache import cache_key
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import ScenarioPoint, platform_to_dict
 from repro.service.faults import FaultInjector, FaultPlan, PoisonPointError
@@ -82,6 +83,32 @@ class TestReuse:
             )
         assert forks == [2, 3]
 
+    def test_fewer_workers_than_the_pool_caps_concurrency(
+        self, tiny_platform, tmp_path, monkeypatch
+    ):
+        """A 2-worker campaign on a resident 3-process pool runs at most
+        two buckets at a time."""
+        monkeypatch.setitem(globals(), "_SPANS_DIR", str(tmp_path))
+        monkeypatch.setattr(
+            "repro.service.fleet._evaluate_bucket", _timed_bucket
+        )
+        points = _points(tiny_platform, range(200, 212))
+        run_campaign(points[:3], n_workers=3)
+        assert executor._pool.procs == 3
+        for name in os.listdir(tmp_path):
+            os.remove(tmp_path / name)
+        records = run_campaign(points, n_workers=2, pack_rows=1).records
+        assert records == _serial(points)
+        spans = []
+        for name in os.listdir(tmp_path):
+            start, end = (tmp_path / name).read_text().split()
+            spans.append((float(start), float(end)))
+        assert len(spans) == len(points)
+        running = max(
+            sum(1 for s, e in spans if s <= t < e) for t, _ in spans
+        )
+        assert running <= 2
+
     def test_close_campaign_pool(self, tiny_platform):
         points = _points(tiny_platform)
         run_campaign(points, n_workers=2)
@@ -92,12 +119,24 @@ class TestReuse:
             resident.evaluate(points)
 
 
-#: Directory each patched worker call marks; set per test before the
-#: pool forks, so every worker inherits it.
+#: Directories the patched worker calls write to; set per test before
+#: the pool forks, so every worker inherits them.
 _CALLS_DIR = None
+_SPANS_DIR = None
 
 
 _evaluate_bucket = fleet_mod._evaluate_bucket
+
+
+def _timed_bucket(point_dicts, *args):
+    """Fleet worker entry that records when each bucket ran."""
+    start = time.monotonic()
+    time.sleep(0.05)
+    records = _evaluate_bucket(point_dicts, *args)
+    name = f"{os.getpid()}-{point_dicts[0].get('seed')}"
+    with open(os.path.join(_SPANS_DIR, name), "w") as fh:
+        fh.write(f"{start} {time.monotonic()}")
+    return records
 
 
 def _slow_or_raise(point_dicts, *args):
@@ -114,6 +153,14 @@ def _slow_or_raise(point_dicts, *args):
     if max(seeds) < 100:
         open(os.path.join(_CALLS_DIR, str(seeds)), "w").close()
         time.sleep(0.2)
+    return _evaluate_bucket(point_dicts, *args)
+
+
+def _slow_clean_bucket(point_dicts, *args):
+    """Fleet worker entry: buckets of seeds 300-399 take 50 ms, so a
+    worker crash elsewhere finds one of them in flight."""
+    if all(300 <= d.get("seed") < 400 for d in point_dicts):
+        time.sleep(0.05)
     return _evaluate_bucket(point_dicts, *args)
 
 
@@ -177,11 +224,27 @@ class TestFailure:
         assert forks == [2]
 
 
+def _run_threads(targets):
+    """Start one thread per target at once and join them; a 10 us
+    switch interval interleaves them finely."""
+    threads = [threading.Thread(target=t) for t in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 class TestConcurrency:
-    def test_threads_share_and_grow_the_pool(self, tiny_platform, forks):
+    def test_threads_get_exact_records(self, tiny_platform, forks):
         """Four threads at once on two cores -- half of them needing a
-        bigger pool -- all get exact records, no lease is lost and the
-        outgrown pool closes once released."""
+        bigger pool -- all get exact records; afterwards one pool, the
+        biggest, stays resident and every other one is closed."""
         campaigns = [
             (workers, _points(tiny_platform, range(base, base + 12)))
             for workers, base in ((2, 40), (3, 60), (2, 80), (3, 100))
@@ -198,26 +261,63 @@ class TestConcurrency:
             except BaseException as exc:  # reported by the assert below
                 errors.append(exc)
 
-        threads = [
-            threading.Thread(target=run, args=(i,))
-            for i in range(len(campaigns))
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        _run_threads([functools.partial(run, i) for i in range(4)])
         assert not errors
         assert got == expected
-        assert forks in ([2, 3], [3])
+        assert 3 in forks
         assert executor._pool.procs == 3
-        assert executor._pool_users == {}
         assert len(multiprocessing.active_children()) == 3
+
+    def test_crashes_are_blamed_on_their_own_campaign(
+        self, tiny_platform, monkeypatch
+    ):
+        """A campaign whose point keeps killing workers runs beside a
+        clean one: the clean one's records are exact and none of its
+        points is quarantined."""
+        fleets = []
+        injector = FaultInjector(FaultPlan.parse("poison@666"))
+        real_fleet = fleet_mod.EvalFleet
+
+        def poisoned_fleet(procs, **kwargs):
+            fleets.append(real_fleet(procs, injector=injector, **kwargs))
+            return fleets[-1]
+
+        monkeypatch.setattr("repro.service.fleet.EvalFleet", poisoned_fleet)
+        monkeypatch.setattr(
+            "repro.service.fleet._evaluate_bucket", _slow_clean_bucket
+        )
+        poisoned = _points(tiny_platform, [666, 1, 2, 3, 4, 5, 6, 7])
+        clean = _points(tiny_platform, range(300, 302))
+        expected = _serial(clean)
+        outcome = {}
+        done = threading.Event()
+
+        def run_poisoned():
+            try:
+                run_campaign(poisoned, n_workers=2)
+            except BaseException as exc:
+                outcome["poisoned"] = exc
+            finally:
+                done.set()
+
+        def run_clean():
+            rounds = 0
+            try:
+                while not done.is_set() or rounds < 2:
+                    got = run_campaign(clean, n_workers=2, pack_rows=1)
+                    assert got.records == expected
+                    rounds += 1
+            except BaseException as exc:
+                outcome["clean"] = exc
+
+        _run_threads([run_poisoned, run_clean])
+        assert isinstance(outcome.pop("poisoned", None), PoisonPointError)
+        assert outcome == {}
+        (poison_key,) = {
+            cache_key(p) for p in poisoned if p.seed == 666
+        }
+        for fleet in fleets:
+            assert fleet._quarantine <= {poison_key}
 
 
 _TWO_CAMPAIGNS = """

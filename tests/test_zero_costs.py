@@ -4,21 +4,24 @@ finite pattern or is refused with a ``ValueError`` naming both.
 A family whose Table-1 optimum divides by a cost (``V`` for PDV/PDMV,
 ``V*`` for PDV*/PDMV*, ``C_M`` for PDMV*) has no finite optimum when
 that cost is zero.  The refusal happens when the (family, platform)
-configuration is built, so the daemon answers 400 and a campaign fails
-before it evaluates or journals anything.
+configuration is built and in the vectorised analytic optimiser, so the
+daemon answers 400 and every batch path -- campaigns, jobs, the fleet --
+refuses the point instead of evaluating it.
 """
 
 import math
 
 import pytest
 
-from repro.campaign.executor import run_campaign
+from repro.campaign.cache import cache_key
+from repro.campaign.executor import evaluate_points, run_campaign
 from repro.campaign.spec import (
     Configuration,
     ScenarioPoint,
     _configuration,
     platform_to_dict,
 )
+from repro.core.batch import PlatformGrid, analytic_records, evaluate_analytic
 from repro.core.builders import PATTERN_ORDER, PatternKind
 from repro.core.formulas import optimal_pattern
 from repro.platforms.catalog import hera
@@ -87,16 +90,41 @@ def test_failed_configuration_is_not_memoised():
     assert _configuration.cache_info().currsize == before
 
 
+@pytest.mark.parametrize("engine", ["auto", "analytic"])
+def test_batch_layer_refuses_the_point(engine):
+    """The batch entry every path shares (campaigns, jobs, the fleet)."""
+    point = ScenarioPoint.from_dict(
+        {**_zero_point().to_dict(), "engine": engine}
+    )
+    with pytest.raises(ValueError, match="PDMV\\* has no optimal pattern"):
+        evaluate_points([point])
+
+
+def test_analytic_grid_refuses_any_zero_cell():
+    grid = PlatformGrid.from_platforms([hera(), _zeroed("C_M")])
+    with pytest.raises(ValueError, match="C_M = 0"):
+        analytic_records(PatternKind.PDMV_STAR, grid)
+    with pytest.raises(ValueError, match="C_M = 0"):
+        evaluate_analytic(PatternKind.PDMV_STAR, _zeroed("C_M"))
+
+
+@pytest.mark.parametrize("engine", ["auto", "analytic"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_campaign_fails_before_evaluating(tiny_platform, tmp_path, workers):
+def test_campaign_fails_without_journaling_the_point(
+    tiny_platform, tmp_path, workers, engine
+):
     good = ScenarioPoint(
         mode="simulate", kind="PD", platform=platform_to_dict(tiny_platform),
         n_patterns=2, n_runs=2, seed=1,
     )
+    bad = ScenarioPoint.from_dict(
+        {**_zero_point().to_dict(), "engine": engine}
+    )
     journal = tmp_path / "j.jsonl"
     with pytest.raises(ValueError, match="PDMV\\* has no optimal pattern"):
         run_campaign(
-            [good, _zero_point()], journal_path=str(journal),
-            n_workers=workers,
+            [good, bad], journal_path=str(journal), n_workers=workers
         )
-    assert not journal.exists() or journal.read_text() == ""
+    assert cache_key(bad) not in (
+        journal.read_text() if journal.exists() else ""
+    )
