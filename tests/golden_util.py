@@ -17,6 +17,11 @@ The fixture families under ``tests/golden/``:
 * ``figures_golden.json`` pins the rows of the Figure 7-9 drivers and
   the simulated accuracy sweep on small Monte-Carlo sizes, exactly and
   in column order (``tests/test_golden_figures.py``).
+* ``cold_sweep_golden.json`` pins, byte for byte, the records of an
+  error-rate sweep in which every point is a configuration no other
+  point shares: all six families, both ``fail_stop_in_operations``
+  settings and the ``auto``, ``fast`` and ``packed`` engines
+  (``tests/test_golden_cold_sweep.py``).
 
 Regenerate deliberately with ``python tests/golden/regenerate.py`` after
 an intended semantics change (and bump
@@ -353,3 +358,78 @@ def load_figures_golden() -> Dict[str, List[Dict[str, Any]]]:
     """Load the frozen figure fixture's cases."""
     with open(FIGURES_GOLDEN_PATH) as fh:
         return json.load(fh)["cases"]
+
+
+# ---------------------------------------------------------------------------
+# cold error-rate sweep fixture
+# ---------------------------------------------------------------------------
+
+COLD_SWEEP_GOLDEN_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "golden",
+    "cold_sweep_golden.json",
+)
+
+
+def cold_sweep_points():
+    """An error-rate grid over all six families, one fresh rate per point.
+
+    Each (engine, fail-stop setting) pair sweeps its own factors, so no
+    two points share a configuration: every point builds its Table-1
+    optimum, op schedule and RNG fingerprint from scratch, as in a
+    campaign sweeping error rates.
+    """
+    from dataclasses import replace
+
+    from repro.campaign.spec import CampaignSpec
+
+    kinds = [kind.value for kind in PatternKind]
+    points = []
+    for e_i, engine in enumerate(("auto", "fast", "packed")):
+        for fsio in (True, False):
+            offset = 0.01 * (2 * e_i + int(fsio) + 1)
+            spec = CampaignSpec(
+                name="cold-sweep",
+                scenario="error_rate_sweep",
+                params={
+                    "vary": "grid",
+                    "factors": [0.5 + offset, 1.5 + offset],
+                    "kinds": kinds,
+                },
+                n_patterns=4,
+                n_runs=3,
+                seed=SEED + 20,
+                engine=engine,
+            )
+            points.extend(
+                replace(point, fail_stop_in_operations=fsio)
+                for point in spec.points()
+            )
+    return points
+
+
+def compute_cold_sweep_golden() -> List[Dict[str, Any]]:
+    """Evaluate the cold sweep through the batch entry of every path."""
+    from repro.campaign.executor import evaluate_points
+
+    return evaluate_points(cold_sweep_points())
+
+
+def write_cold_sweep_golden() -> str:
+    """Recompute and overwrite the cold-sweep fixture."""
+    return _write_json(
+        COLD_SWEEP_GOLDEN_PATH,
+        {
+            "comment": (
+                "Cold error-rate sweep records pinned exactly; regenerate "
+                "with tests/golden/regenerate.py cold after an intended "
+                "semantics change (and bump SEMANTICS_VERSION)."
+            ),
+            "records": compute_cold_sweep_golden(),
+        },
+    )
+
+
+def load_cold_sweep_golden() -> List[Dict[str, Any]]:
+    """Load the frozen cold-sweep records."""
+    with open(COLD_SWEEP_GOLDEN_PATH) as fh:
+        return json.load(fh)["records"]
