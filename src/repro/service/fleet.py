@@ -82,8 +82,19 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from contextlib import suppress
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.campaign.cache import cache_key
 from repro.campaign.planner import (
@@ -459,10 +470,12 @@ class EvalFleet:
 
         ``sink`` (a request trace riding the batch) receives one
         ``bucket`` span per answered bucket; ``kill`` is the chaos
-        ``kill@N`` hook, fired once the first round is submitted.
-        ``width`` caps the buckets running at once when it is below
-        ``procs`` (a campaign asking for fewer workers than the pool
-        has); they then run in rounds of ``width``.
+        ``kill@N`` hook, fired once the first buckets are submitted.
+        At most ``width or procs`` buckets (never more than ``procs``)
+        are in flight at once, topped up one as each lands: a run that
+        stops early then leaves at most that many behind, since the
+        executor's own queue, which ``cancel()`` cannot reach, never
+        holds more.
         """
         if self._quarantine:
             for bucket in buckets:
@@ -477,67 +490,63 @@ class EvalFleet:
         timed = sink is not None
         # (bucket, crashes-so-far) work list; crashed buckets re-enter
         # it until their retry budget is spent, then split in half.
-        pending: List[Tuple[Bucket, int]] = [(b, 0) for b in buckets]
+        pending: Deque[Tuple[Bucket, int]] = deque((b, 0) for b in buckets)
         # A dead worker breaks EVERY in-flight future, so a concurrent
         # crash cannot be blamed on any one bucket -- an innocent
         # sharing the pool with a poisonous point must not accumulate
-        # strikes toward quarantine.  After the first crash we run one
-        # bucket per round: a bucket that then crashes did it alone,
-        # and only those solo crashes count.
+        # strikes toward quarantine.  After the first crash we keep one
+        # bucket in flight: a bucket that then crashes did it alone, and
+        # only crashes of buckets that never shared the pool count.
         serial = False
-        step = width if width is not None and width < self.procs else None
+        limit = min(width or self.procs, self.procs)
         in_flight: Dict[Future, Tuple[Bucket, int, int, float]] = {}
+        shared: Set[Future] = set()
         try:
-            while pending:
-                if serial:
-                    round_items, pending = [pending[0]], pending[1:]
-                else:
-                    cut = step or len(pending)
-                    round_items, pending = pending[:cut], pending[cut:]
-                in_flight = {}
-                for bucket, crashes in round_items:
+            while pending or in_flight:
+                while pending and len(in_flight) < (1 if serial else limit):
+                    bucket, crashes = pending.popleft()
                     generation, future, t_sub = self._submit_bucket(
                         bucket, timed
                     )
                     in_flight[future] = (bucket, crashes, generation, t_sub)
+                if len(in_flight) > 1:
+                    shared.update(in_flight)
                 if kill:
                     self._kill_one_worker()
                     kill = False
-                solo = len(in_flight) == 1
-                while in_flight:
-                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        bucket, crashes, generation, t_sub = in_flight.pop(
-                            future
-                        )
-                        try:
-                            answer = future.result()
-                        except BrokenProcessPool:
-                            self._ensure_rebuilt(generation)
-                            if solo:
-                                pending.extend(
-                                    self._plan_retry(bucket, crashes + 1)
-                                )
-                            else:
-                                pending.append((bucket, crashes))
-                            serial = True
-                            continue
-                        if timed and isinstance(answer, dict):
-                            sink.add(
-                                "bucket",
-                                t_sub,
-                                time.perf_counter(),
-                                {
-                                    "points": len(bucket),
-                                    "rows": bucket_rows(bucket),
-                                    "worker_pid": answer["pid"],
-                                    "worker_eval_ms": round(
-                                        1e3 * answer["eval_s"], 3
-                                    ),
-                                },
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    bucket, crashes, generation, t_sub = in_flight.pop(future)
+                    solo = future not in shared
+                    shared.discard(future)
+                    try:
+                        answer = future.result()
+                    except BrokenProcessPool:
+                        self._ensure_rebuilt(generation)
+                        if solo:
+                            pending.extend(
+                                self._plan_retry(bucket, crashes + 1)
                             )
-                            answer = answer["records"]
-                        yield bucket, answer
+                        else:
+                            pending.append((bucket, crashes))
+                        serial = True
+                        continue
+                    if timed and isinstance(answer, dict):
+                        sink.add(
+                            "bucket",
+                            t_sub,
+                            time.perf_counter(),
+                            {
+                                "points": len(bucket),
+                                "rows": bucket_rows(bucket),
+                                "worker_pid": answer["pid"],
+                                "worker_eval_ms": round(
+                                    1e3 * answer["eval_s"], 3
+                                ),
+                            },
+                        )
+                        answer = answer["records"]
+                    yield bucket, answer
         finally:
             # A run that stops early (a poison point, an evaluation
             # error, a caller that gives up) cancels its buckets that

@@ -181,9 +181,10 @@ class TestFailure:
 
         points = _points(tiny_platform, range(100, 104))
         assert run_campaign(points, n_workers=2).records == _serial(points)
-        # Running and prefetched buckets finish; the rest never start.
+        # Only the buckets already running finish, at most one per
+        # worker; the rest never start.
         ran = len(os.listdir(tmp_path))
-        assert ran <= 8, f"{ran} of 23 stale buckets ran"
+        assert ran <= 2, f"{ran} of 23 stale buckets ran on 2 workers"
 
     def test_poison_point_then_clean_campaign(
         self, tiny_platform, forks, monkeypatch
