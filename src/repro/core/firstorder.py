@@ -72,6 +72,37 @@ class OverheadDecomposition:
         return W * (1.0 + self.overhead_at(W))
 
 
+def silent_factor(pattern: Pattern, r: float) -> float:
+    """The shape's silent re-execution factor ``sum_i f_i alpha_i^2``.
+
+    ``f_i = beta_i^T A(m_i) beta_i`` at recall ``r`` (1 for a one-chunk
+    segment).  It depends on the pattern's shape and ``r`` alone, not on
+    ``W`` or the error rates.
+    """
+    factor = 0.0
+    for alpha_i, beta_i in zip(pattern.alpha, pattern.betas):
+        if len(beta_i) == 1:
+            f_i = 1.0
+        else:
+            f_i = quadratic_form(beta_i, r)
+        factor += f_i * alpha_i * alpha_i
+    return factor
+
+
+def overhead_terms(
+    n_partial: int, n: int, silent: float, platform: Platform, V: float
+) -> OverheadDecomposition:
+    """``(o_ef, o_rw)`` from a shape's counts and silent factor.
+
+    ``n_partial`` partial verifications of cost ``V``, ``n`` segments
+    and the :func:`silent_factor` ``silent``; everything else comes from
+    ``platform``.
+    """
+    o_ef = n_partial * V + n * (platform.V_star + platform.C_M) + platform.C_D
+    o_rw = platform.lambda_s * silent + platform.lambda_f / 2.0
+    return OverheadDecomposition(o_ef=o_ef, o_rw=o_rw)
+
+
 def decompose_overhead(
     pattern: Pattern,
     platform: Platform,
@@ -87,28 +118,13 @@ def decompose_overhead(
     The special cases of Table 1 (single segment, single chunk, guaranteed
     verifications only) all follow by plugging the corresponding shapes.
     """
-    V = platform.V
-    V_star = platform.V_star
-    C_M = platform.C_M
-    C_D = platform.C_D
-    r = platform.r
-
-    o_ef = (
-        pattern.num_partial_verifications * V
-        + pattern.n * (V_star + C_M)
-        + C_D
+    return overhead_terms(
+        pattern.num_partial_verifications,
+        pattern.n,
+        silent_factor(pattern, platform.r),
+        platform,
+        platform.V,
     )
-
-    silent_factor = 0.0
-    for alpha_i, beta_i in zip(pattern.alpha, pattern.betas):
-        if len(beta_i) == 1:
-            f_i = 1.0
-        else:
-            f_i = quadratic_form(beta_i, r)
-        silent_factor += f_i * alpha_i * alpha_i
-
-    o_rw = platform.lambda_s * silent_factor + platform.lambda_f / 2.0
-    return OverheadDecomposition(o_ef=o_ef, o_rw=o_rw)
 
 
 def optimal_period_from_decomposition(

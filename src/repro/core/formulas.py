@@ -9,9 +9,10 @@ overhead ``H* = 2 sqrt(o_ef o_rw)``.
 
 Rather than transcribing each family's final H* expression (which are
 algebraic consequences), we recompute ``(o_ef, o_rw)`` from the built
-pattern via :func:`repro.core.firstorder.decompose_overhead`, guaranteeing
-internal consistency between the closed forms, the generic decomposition
-and the simulator.  The continuous-H* expressions of Table 1 are also
+pattern with the pieces of :func:`repro.core.firstorder.decompose_overhead`
+(its shape terms are memoised per shape; only the rates and costs are
+applied per platform), guaranteeing internal consistency between the
+closed forms, the generic decomposition and the simulator.  The continuous-H* expressions of Table 1 are also
 provided (:func:`continuous_overhead`) and tested against the integer
 solution.
 """
@@ -30,7 +31,11 @@ from repro.core.builders import (
     PatternKind,
     build_pattern,
 )
-from repro.core.firstorder import OverheadDecomposition, decompose_overhead
+from repro.core.firstorder import (
+    OverheadDecomposition,
+    overhead_terms,
+    silent_factor,
+)
 from repro.core.pattern import Pattern
 from repro.platforms.platform import Platform
 
@@ -265,33 +270,43 @@ def _conditional_n_star(
     return math.sqrt(2.0 * platform.C_D * f * ls / (a * lf))
 
 
-@_lru_cache(maxsize=4096)
-def _unit_pattern(kind: PatternKind, n: int, m: int, r: float) -> Pattern:
-    """Memoised placeholder-period pattern for the integer-shape search.
+#: Families whose intermediate verifications are guaranteed (cost ``V*``,
+#: recall 1): they are optimised and simulated on that cost view.
+_STARRED = (PatternKind.PDV_STAR, PatternKind.PDMV_STAR)
 
-    ``Pattern`` is frozen/immutable, so the shared instance is safe; the
-    optimiser probes the same ``(kind, n, m, r)`` shapes for every point
-    of a sweep, and validation of the chunk vectors is the dominant cost
-    of each probe.
+
+@_lru_cache(maxsize=4096)
+def _unit_pattern(
+    kind: PatternKind, n: int, m: int, r: float
+) -> Tuple[Pattern, int, float]:
+    """Memoised shape of the integer search and its rate-free terms.
+
+    Returns the validated pattern at a placeholder period (1.0), its
+    partial-verification count and its
+    :func:`~repro.core.firstorder.silent_factor` (at recall 1 for the
+    starred families).  None of them depends on the error rates or on
+    ``W``, and the optimiser probes the same ``(kind, n, m, r)`` shapes
+    for every point of a sweep.  ``Pattern`` is frozen, so the shared
+    instance is safe.
     """
-    return build_pattern(kind, 1.0, n=n, m=m, r=r)
+    pat = build_pattern(kind, 1.0, n=n, m=m, r=r)
+    r_eff = 1.0 if kind in _STARRED else r
+    return pat, pat.num_partial_verifications, silent_factor(pat, r_eff)
 
 
 def _evaluate_shape(
     kind: PatternKind, platform: Platform, n: int, m: int
 ) -> Tuple[OverheadDecomposition, Pattern]:
-    """Build the family pattern with shape ``(n, m)`` and decompose it.
+    """Decompose the family pattern with shape ``(n, m)`` on ``platform``.
 
-    The built pattern uses a placeholder period (1.0); only the shape
-    matters for ``(o_ef, o_rw)``.
+    The returned pattern has a placeholder period (1.0); only the shape
+    matters for ``(o_ef, o_rw)``.  Starred families pay ``V*`` for their
+    intermediate verifications, exactly as :func:`decompose_overhead`
+    does on the :func:`simulation_costs` view.
     """
-    pat = _unit_pattern(kind, n, m, platform.r)
-    # For starred families the intermediate verifications are guaranteed:
-    # decompose against a platform view where V == V*.
-    plat = platform
-    if kind in (PatternKind.PDV_STAR, PatternKind.PDMV_STAR):
-        plat = platform.with_costs(V=platform.V_star, r=1.0)
-    return decompose_overhead(pat, plat), pat
+    pat, n_partial, silent = _unit_pattern(kind, n, m, platform.r)
+    V = platform.V_star if kind in _STARRED else platform.V
+    return overhead_terms(n_partial, pat.n, silent, platform, V), pat
 
 
 def optimal_pattern(
@@ -322,25 +337,28 @@ def optimal_pattern(
     m_candidates = set(_integer_candidates(m_cont, window=2))
     m_candidates.add(1)
 
-    best: Optional[Tuple[float, int, int, OverheadDecomposition]] = None
+    best: Optional[
+        Tuple[float, int, int, OverheadDecomposition, Pattern]
+    ] = None
     for m in sorted(m_candidates):
         n_bar = _conditional_n_star(kind, platform, m)
         if math.isinf(n_bar):
             n_bar = 1024.0
         for n in _integer_candidates(n_bar):
-            decomp, _ = _evaluate_shape(kind, platform, n, m)
+            decomp, unit = _evaluate_shape(kind, platform, n, m)
             F = decomp.o_ef * decomp.o_rw
             if best is None or F < best[0] - 1e-18:
-                best = (F, n, m, decomp)
+                best = (F, n, m, decomp, unit)
     assert best is not None
-    _, n_star, m_star, decomp = best
+    _, n_star, m_star, decomp, unit = best
 
     W_star = decomp.optimal_period
     if math.isinf(W_star):
         raise ValueError(
             "optimal period is infinite (o_rw == 0); check error rates"
         )
-    pattern = build_pattern(kind, W_star, n=n_star, m=m_star, r=platform.r)
+    # The unit pattern's chunk vectors are build_pattern's at any period.
+    pattern = unit.rescaled(W_star)
     return OptimalPattern(
         kind=kind,
         pattern=pattern,
@@ -368,6 +386,6 @@ def simulation_costs(kind: PatternKind, platform: Platform) -> Platform:
     the platform's partial verification.  ``PD``/``PDM`` never execute
     intermediate verifications, so the view is irrelevant but harmless.
     """
-    if kind in (PatternKind.PDV_STAR, PatternKind.PDMV_STAR):
+    if kind in _STARRED:
         return platform.with_costs(V=platform.V_star, r=1.0)
     return platform

@@ -301,8 +301,18 @@ class Pattern:
         )
 
     def rescaled(self, W: float) -> "Pattern":
-        """Copy of this pattern with a different total work ``W``."""
-        return Pattern(W=W, alpha=self.alpha, betas=self.betas)
+        """Copy of this pattern with a different total work ``W``.
+
+        Only ``W`` is checked: the segment and chunk fractions are this
+        pattern's, validated when it was built.
+        """
+        if W <= 0:
+            raise ValueError(f"pattern work W must be positive, got {W}")
+        copy = object.__new__(Pattern)
+        object.__setattr__(copy, "W", W)
+        object.__setattr__(copy, "alpha", self.alpha)
+        object.__setattr__(copy, "betas", self.betas)
+        return copy
 
 
 def pattern_signature(pattern: Pattern) -> str:

@@ -47,7 +47,7 @@ import enum
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -185,37 +185,30 @@ def _config_entropy(
 
 
 @lru_cache(maxsize=4096)
-def _config_entropy_cached(
-    pattern: Pattern,
-    lambda_f: float,
-    lambda_s: float,
-    C_D: float,
-    C_M: float,
-    R_D: float,
-    R_M: float,
-    V_star: float,
-    V: float,
-    r: float,
-    fail_stop_in_operations: bool,
-) -> int:
-    blob = repr(
+def _config_entropy_cached(pattern: Pattern, *values: object) -> int:
+    """SHA-256 of ``repr((W, alpha, betas, *values))``, first 8 bytes.
+
+    The ``alpha, betas`` text, most of the bytes, comes from the
+    per-shape :func:`_shape_repr`, so a configuration new to this memo
+    (a fresh error rate) formats only its scalars.
+    """
+    blob = ", ".join(
         (
-            pattern.W,
-            pattern.alpha,
-            pattern.betas,
-            lambda_f,
-            lambda_s,
-            C_D,
-            C_M,
-            R_D,
-            R_M,
-            V_star,
-            V,
-            r,
-            fail_stop_in_operations,
+            repr(pattern.W),
+            _shape_repr(pattern.alpha, pattern.betas),
+            *map(repr, values),
         )
-    ).encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")
+    )
+    digest = hashlib.sha256(f"({blob})".encode()).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
+@lru_cache(maxsize=1024)
+def _shape_repr(
+    alpha: Tuple[float, ...], betas: Tuple[Tuple[float, ...], ...]
+) -> str:
+    """``repr(alpha) + ", " + repr(betas)``: the shape's fingerprint text."""
+    return f"{alpha!r}, {betas!r}"
 
 
 def _tier_rng(
@@ -259,6 +252,12 @@ def tier_rng(
     batch.  The campaign planner uses this to build
     :class:`~repro.simulation.packed_engine.PackedJob` streams that are
     bit-identical to what :func:`run_stats` would consume.
+
+    The fingerprint hashes ``repr((W, alpha, betas, lambda_f, lambda_s,
+    C_D, C_M, R_D, R_M, V_star, V, r, fail_stop_in_operations))``.  It
+    is memoised per configuration, and the ``alpha, betas`` text per
+    shape, so a point with a new error rate formats only its scalars;
+    the bytes are the full ``repr``'s either way.
     """
     return _tier_rng(seed, pattern, platform, fail_stop_in_operations)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from repro.simulation.model import (
     OP_MEM_CKPT,
     OP_VERIFY,
     OpSchedule,
-    _op_schedule_cached,
     detection_probability,
 )
 from repro.simulation.stats import COUNTER_FIELDS, SimulationStats
@@ -131,8 +130,7 @@ class ScheduleArrays:
     (``Pc``), and completed partial-verification / guaranteed-
     verification / memory-checkpoint counts.  The fail-stop exposure is
     ``P`` when resilience operations are vulnerable and ``Pc``
-    otherwise -- a selection, not a third array.  All arrays are frozen;
-    the struct is shared process-wide per (pattern, cost vector).
+    otherwise -- a selection, not a third array.  All arrays are frozen.
     """
 
     sched: OpSchedule
@@ -141,6 +139,76 @@ class ScheduleArrays:
     n_partial_pre: np.ndarray
     n_guar_pre: np.ndarray
     n_mem_pre: np.ndarray
+
+
+def _prefix(values: np.ndarray) -> np.ndarray:
+    """Frozen exclusive prefix sum: ``out[i] = sum(values[:i])``.
+
+    ``np.add.accumulate`` is what ``np.cumsum`` runs for float64, without
+    its dispatch overhead.
+    """
+    out = np.zeros(values.size + 1, dtype=np.float64)
+    np.add.accumulate(values, out=out[1:])
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
+class _ScheduleTemplate:
+    """The ``W``-free part of a schedule, shared by every period.
+
+    ``base`` is the schedule at a placeholder period; only the durations
+    of its compute operations (at indices ``comp``) depend on ``W``.
+    Compute operation ``k`` is chunk fraction ``beta[k]`` of segment
+    ``seg[k]``, whose fraction of the pattern is ``alpha[seg[k]]``.
+    """
+
+    base: OpSchedule
+    comp: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    seg: np.ndarray
+    n_partial_pre: np.ndarray
+    n_guar_pre: np.ndarray
+    n_mem_pre: np.ndarray
+
+
+@lru_cache(maxsize=512)
+def _schedule_template(
+    alpha: Tuple[float, ...],
+    betas: Tuple[Tuple[float, ...], ...],
+    V: float,
+    V_star: float,
+    r: float,
+    C_M: float,
+    C_D: float,
+) -> _ScheduleTemplate:
+    from repro.platforms.platform import ResilienceCosts
+
+    costs = Platform(
+        name="<schedule>",
+        nodes=1,
+        lambda_f=0.0,
+        lambda_s=0.0,
+        costs=ResilienceCosts(
+            C_D=C_D, C_M=C_M, R_D=C_D, R_M=C_M, V_star=V_star, V=V, r=r
+        ),
+    )
+    base = OpSchedule.from_pattern(Pattern(1.0, alpha, betas), costs)
+    for arr in vars(base).values():
+        arr.setflags(write=False)
+    is_ver = base.kinds == OP_VERIFY
+    comp = np.flatnonzero(base.kinds == OP_COMPUTE)
+    return _ScheduleTemplate(
+        base=base,
+        comp=comp,
+        alpha=np.array(alpha, dtype=np.float64),
+        beta=np.array([b for bs in betas for b in bs], dtype=np.float64),
+        seg=base.segment_index[comp],
+        n_partial_pre=_prefix((is_ver & ~base.guaranteed).astype(np.float64)),
+        n_guar_pre=_prefix((is_ver & base.guaranteed).astype(np.float64)),
+        n_mem_pre=_prefix((base.kinds == OP_MEM_CKPT).astype(np.float64)),
+    )
 
 
 @lru_cache(maxsize=512)
@@ -152,35 +220,52 @@ def _schedule_arrays_cached(
     C_M: float,
     C_D: float,
 ) -> ScheduleArrays:
-    sched = _op_schedule_cached(pattern, V, V_star, r, C_M, C_D)
-    n_ops = sched.n_ops
-    is_comp = sched.kinds == OP_COMPUTE
-    is_ver = sched.kinds == OP_VERIFY
-    durs = sched.durations
-
-    def _prefix(values: np.ndarray) -> np.ndarray:
-        out = np.zeros(n_ops + 1, dtype=np.float64)
-        np.cumsum(values, out=out[1:])
-        out.setflags(write=False)
-        return out
-
+    tmpl = _schedule_template(
+        pattern.alpha, pattern.betas, V, V_star, r, C_M, C_D
+    )
+    base = tmpl.base
+    chunks = tmpl.beta * (tmpl.alpha * pattern.W)[tmpl.seg]
+    durations = base.durations.copy()
+    durations[tmpl.comp] = chunks
+    exposure = np.zeros(durations.size)
+    exposure[tmpl.comp] = chunks
+    P = _prefix(durations)
+    Pc = _prefix(exposure)
+    durations.setflags(write=False)
     return ScheduleArrays(
-        sched=sched,
-        P=_prefix(durs),
-        Pc=_prefix(np.where(is_comp, durs, 0.0)),
-        n_partial_pre=_prefix(
-            (is_ver & ~sched.guaranteed).astype(np.float64)
+        sched=OpSchedule(
+            kinds=base.kinds,
+            durations=durations,
+            recalls=base.recalls,
+            guaranteed=base.guaranteed,
+            segment_start=base.segment_start,
+            segment_index=base.segment_index,
+            chunk_index=base.chunk_index,
         ),
-        n_guar_pre=_prefix((is_ver & sched.guaranteed).astype(np.float64)),
-        n_mem_pre=_prefix((sched.kinds == OP_MEM_CKPT).astype(np.float64)),
+        P=P,
+        Pc=Pc,
+        n_partial_pre=tmpl.n_partial_pre,
+        n_guar_pre=tmpl.n_guar_pre,
+        n_mem_pre=tmpl.n_mem_pre,
     )
 
 
 def schedule_arrays(pattern: Pattern, platform: Platform) -> ScheduleArrays:
-    """Memoised schedule + prefix sums for a (pattern, cost vector) pair.
+    """Schedule + prefix sums for a (pattern, cost vector) pair.
 
     Shared by the fast engine and the packed engine so their prefix
-    arithmetic cannot drift: both gather from the same frozen arrays.
+    arithmetic cannot drift: both gather from these frozen arrays.
+    Everything but ``W`` comes from a per-process template memoised on
+    the shape and the cost vector (``alpha``, ``betas``, ``V``, ``V*``,
+    ``r``, ``C_M``, ``C_D``), so a sweep over error rates builds each
+    shape's schedule once.  Per period, only the compute durations are
+    computed, as one vector ``beta * (alpha * W)[segment]`` -- the IEEE
+    operations of :attr:`~repro.core.pattern.Segment.chunk_lengths` --
+    followed by the ``P`` and ``Pc`` prefix sums.  The result equals
+    :meth:`OpSchedule.from_pattern` and its prefixes element for
+    element.  A second memo, keyed on the pattern itself (``W``
+    included), keeps a repeated configuration, such as a daemon's
+    catalog point, at one lookup per call.
     """
     return _schedule_arrays_cached(
         pattern,

@@ -23,7 +23,6 @@ drift between them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -86,33 +85,6 @@ class ResolvedSegment:
     verif_recalls: Tuple[float, ...]
 
 
-@lru_cache(maxsize=1024)
-def _resolved_segments_cached(
-    pattern: Pattern, V: float, V_star: float, r: float
-) -> Tuple[ResolvedSegment, ...]:
-    """Per-process memo of segment resolution.
-
-    Schedule resolution only depends on the pattern shape and the
-    verification cost vector, and a campaign evaluates the same
-    resolution once per engine call; caching it means the per-point
-    constant work is paid once per process (and once per packed batch)
-    instead of once per call.  ``Pattern`` is a frozen dataclass of
-    floats/tuples, so it is a safe cache key.
-    """
-    segs: List[ResolvedSegment] = []
-    for seg in pattern.segments():
-        lengths = seg.chunk_lengths
-        m = len(lengths)
-        costs = tuple([V] * (m - 1) + [V_star])
-        recalls = tuple([r] * (m - 1) + [1.0])
-        segs.append(
-            ResolvedSegment(
-                chunks=lengths, verif_costs=costs, verif_recalls=recalls
-            )
-        )
-    return tuple(segs)
-
-
 def resolve_segments(
     pattern: Pattern, platform: Platform
 ) -> List[ResolvedSegment]:
@@ -123,11 +95,18 @@ def resolve_segments(
     families pass the guaranteed-verification platform view (see
     :func:`repro.core.formulas.simulation_costs`).
     """
-    return list(
-        _resolved_segments_cached(
-            pattern, platform.V, platform.V_star, platform.r
+    V, V_star, r = platform.V, platform.V_star, platform.r
+    segs: List[ResolvedSegment] = []
+    for seg in pattern.segments():
+        m = seg.num_chunks
+        segs.append(
+            ResolvedSegment(
+                chunks=seg.chunk_lengths,
+                verif_costs=tuple([V] * (m - 1) + [V_star]),
+                verif_recalls=tuple([r] * (m - 1) + [1.0]),
+            )
         )
-    )
+    return segs
 
 
 def detection_probability(
@@ -243,46 +222,3 @@ class OpSchedule:
             segment_index=seg_index,
             chunk_index=chunk_index,
         )
-
-
-@lru_cache(maxsize=512)
-def _op_schedule_cached(
-    pattern: Pattern,
-    V: float,
-    V_star: float,
-    r: float,
-    C_M: float,
-    C_D: float,
-) -> OpSchedule:
-    """Memoised :meth:`OpSchedule.from_pattern` (read-only arrays).
-
-    The schedule depends only on the pattern shape and the cost vector,
-    not on the error rates, so one frozen instance per process serves
-    every point that shares them.
-    """
-    from repro.platforms.platform import ResilienceCosts
-
-    sched = OpSchedule.from_pattern(
-        pattern,
-        Platform(
-            name="<schedule>",
-            nodes=1,
-            lambda_f=0.0,
-            lambda_s=0.0,
-            costs=ResilienceCosts(
-                C_D=C_D, C_M=C_M, R_D=C_D, R_M=C_M, V_star=V_star, V=V, r=r
-            ),
-        ),
-    )
-    for arr in (
-        sched.kinds,
-        sched.durations,
-        sched.recalls,
-        sched.guaranteed,
-        sched.segment_start,
-        sched.segment_index,
-        sched.chunk_index,
-    ):
-        arr.setflags(write=False)
-    return sched
-

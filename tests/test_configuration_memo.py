@@ -6,28 +6,47 @@ pin what that may and may not change: how often the optimiser runs
 (once per configuration per process), which points share an entry
 (only those naming the same family and platform values), and that the
 records never depend on the memo's state -- cold, warm, overflowed or
-raced by threads.
+raced by threads.  The same holds for the per-shape memos a new
+configuration is built from (Table-1 terms, op schedule template, RNG
+fingerprint text), whose bounds and sizes at the bound are pinned too.
 """
 
 import copy
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
 import repro.core.formulas as formulas
+from golden_util import cold_sweep_points, load_cold_sweep_golden
 from repro.campaign.executor import evaluate_point, evaluate_points
 from repro.campaign.spec import ScenarioPoint, _configuration, platform_to_dict
-from repro.core.builders import PATTERN_ORDER
+from repro.core.builders import PATTERN_ORDER, PatternKind, build_pattern
 from repro.platforms.catalog import get_platform
 from repro.service.protocol import ProtocolError, point_from_request
+from repro.simulation import dispatch, fast_engine
 
 MEMO_SIZE = 4096
 PLATFORMS = ("hera", "atlas", "coastal")
 KINDS = [kind.value for kind in PATTERN_ORDER][:5]
+
+#: The per-shape memos a cold configuration is built from, with the
+#: bound each holds and the tracemalloc size it may reach there when
+#: filled with the perfbench campaign's largest shape (PDMV, 6 segments
+#: of 17 chunks): 8.5, 9.1, 2.9, 1.5 and 4.1 MiB measured on CPython
+#: 3.11 with NumPy 2.4.
+SHAPE_MEMOS = {
+    "unit_pattern": (formulas._unit_pattern, 4096, 12),
+    "schedule_template": (fast_engine._schedule_template, 512, 12),
+    "schedule_arrays": (fast_engine._schedule_arrays_cached, 512, 4),
+    "config_entropy": (dispatch._config_entropy_cached, 4096, 2),
+    "shape_repr": (dispatch._shape_repr, 1024, 6),
+}
 
 
 def _simulate(kind, pdict, seed, **extra):
@@ -47,11 +66,17 @@ def _fifteen_pairs(seeds):
     ]
 
 
+def _clear_memos():
+    _configuration.cache_clear()
+    for memo, _, _ in SHAPE_MEMOS.values():
+        memo.cache_clear()
+
+
 @pytest.fixture
 def cold_memo():
-    _configuration.cache_clear()
+    _clear_memos()
     yield _configuration
-    _configuration.cache_clear()
+    _clear_memos()
 
 
 @pytest.fixture
@@ -140,23 +165,112 @@ class TestDistinctEntries:
         for point in points:
             point.configuration().optimal
         batched = json.loads(json.dumps(evaluate_points(points)))
-        script = (
-            "import json, sys\n"
-            "from repro.campaign.executor import evaluate_point\n"
-            "from repro.campaign.spec import ScenarioPoint\n"
-            "docs = json.load(sys.stdin)\n"
-            "points = [ScenarioPoint.from_dict(d) for d in docs]\n"
-            "print(json.dumps([evaluate_point(p) for p in points]))\n"
-        )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        fresh = subprocess.run(
-            [sys.executable, "-c", script],
-            input=json.dumps([p.to_dict() for p in points]),
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert batched == json.loads(fresh.stdout)
+        assert batched == _fresh_process_records(points)
         assert batched[2]["platform_name"] == "Hera-twin"
+
+
+def _fresh_process_records(points):
+    """``evaluate_point`` of each point in a new interpreter."""
+    script = (
+        "import json, sys\n"
+        "from repro.campaign.executor import evaluate_point\n"
+        "from repro.campaign.spec import ScenarioPoint\n"
+        "docs = json.load(sys.stdin)\n"
+        "points = [ScenarioPoint.from_dict(d) for d in docs]\n"
+        "print(json.dumps([evaluate_point(p) for p in points]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    fresh = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps([p.to_dict() for p in points]),
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(fresh.stdout)
+
+
+def _overflow_shape_memos():
+    """Push every shape memo past its bound with unrelated entries."""
+    hera = get_platform("hera")
+    pd = build_pattern(PatternKind.PD, 1.0)
+    for i in range(SHAPE_MEMOS["unit_pattern"][1] + 8):
+        formulas._unit_pattern(PatternKind.PD, 1, 1, 0.5 + 1e-7 * i)
+    for i in range(SHAPE_MEMOS["schedule_template"][1] + 8):
+        fast_engine.schedule_arrays(
+            pd.rescaled(1.0 + i), hera.with_costs(C_D=1.0 + i)
+        )
+    for i in range(SHAPE_MEMOS["config_entropy"][1] + 8):
+        dispatch._config_entropy(pd.rescaled(1.0 + i), hera, True)
+    for i in range(SHAPE_MEMOS["shape_repr"][1] + 8):
+        dispatch._shape_repr((float(i),), ((1.0,),))
+    for name, (memo, bound, _) in SHAPE_MEMOS.items():
+        assert memo.cache_info().currsize == bound, name
+
+
+class TestShapeMemos:
+    """A cold configuration's records do not depend on the shape memos."""
+
+    def test_records_equal_cold_warm_overflowed_and_fresh(self, cold_memo):
+        points = cold_sweep_points()
+        golden = load_cold_sweep_golden()
+
+        def records():
+            return json.loads(json.dumps(evaluate_points(points)))
+
+        cold = records()
+        for name, (memo, _, _) in SHAPE_MEMOS.items():
+            assert memo.cache_info().currsize > 0, name
+        cold_memo.cache_clear()  # new configurations, warm shapes
+        shapes_warm = records()
+        all_warm = records()
+        _overflow_shape_memos()
+        cold_memo.cache_clear()
+        overflowed = records()
+        assert cold == golden
+        assert shapes_warm == golden
+        assert all_warm == golden
+        assert overflowed == golden
+        assert _fresh_process_records(points[::9]) == golden[::9]
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_MEMOS))
+    def test_size_at_the_bound(self, cold_memo, name):
+        memo, bound, budget_mib = SHAPE_MEMOS[name]
+        hera = get_platform("hera")
+        big = build_pattern(PatternKind.PDMV, 1.0, n=6, m=17, r=hera.r)
+
+        def fill(i):
+            if name == "unit_pattern":
+                formulas._unit_pattern(
+                    PatternKind.PDMV, 1 + i % 8, 1 + (i // 8) % 24,
+                    0.5 + 1e-6 * i,
+                )
+            elif name == "schedule_template":
+                fast_engine._schedule_template(
+                    big.alpha, big.betas, hera.V, hera.V_star, hera.r,
+                    hera.C_M, hera.C_D + i,
+                )
+            elif name == "schedule_arrays":
+                fast_engine.schedule_arrays(big.rescaled(1e3 + i), hera)
+            elif name == "config_entropy":
+                dispatch._config_entropy(big.rescaled(1e3 + i), hera, True)
+            else:
+                shape = build_pattern(
+                    PatternKind.PDMV, 1.0, n=6, m=17, r=0.5 + 1e-6 * i
+                )
+                dispatch._shape_repr(shape.alpha, shape.betas)
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(bound):
+                fill(i)
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert memo.cache_info().currsize == bound
+        assert size <= budget_mib * 2**20, f"{name}: {size / 2**20:.1f} MiB"
 
 
 class TestBoundAndThreads:
