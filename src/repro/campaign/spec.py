@@ -103,7 +103,7 @@ class Configuration:
         return formulas.simulation_costs(self.kind, self.platform)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096)  # sized like dispatch._config_entropy_cached
 def _configuration(kind: str, token: Tuple[Any, ...]) -> Configuration:
     # A failed build raises and is not cached.
     return Configuration(pattern_kind(kind), _platform_from_token(token))

@@ -26,7 +26,7 @@ instances, reduced per run afterwards (:meth:`GeneralBatchResult.to_stats`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
@@ -233,15 +233,7 @@ def _schedule_arrays_cached(
     Pc = _prefix(exposure)
     durations.setflags(write=False)
     return ScheduleArrays(
-        sched=OpSchedule(
-            kinds=base.kinds,
-            durations=durations,
-            recalls=base.recalls,
-            guaranteed=base.guaranteed,
-            segment_start=base.segment_start,
-            segment_index=base.segment_index,
-            chunk_index=base.chunk_index,
-        ),
+        sched=replace(base, durations=durations),
         P=P,
         Pc=Pc,
         n_partial_pre=tmpl.n_partial_pre,
