@@ -238,26 +238,29 @@ class TestShapeMemos:
         hera = get_platform("hera")
         big = build_pattern(PatternKind.PDMV, 1.0, n=6, m=17, r=hera.r)
 
-        def fill(i):
-            if name == "unit_pattern":
-                formulas._unit_pattern(
-                    PatternKind.PDMV, 1 + i % 8, 1 + (i // 8) % 24,
-                    0.5 + 1e-6 * i,
-                )
-            elif name == "schedule_template":
-                fast_engine._schedule_template(
-                    big.alpha, big.betas, hera.V, hera.V_star, hera.r,
-                    hera.C_M, hera.C_D + i,
-                )
-            elif name == "schedule_arrays":
-                fast_engine.schedule_arrays(big.rescaled(1e3 + i), hera)
-            elif name == "config_entropy":
-                dispatch._config_entropy(big.rescaled(1e3 + i), hera, True)
-            else:
-                shape = build_pattern(
-                    PatternKind.PDMV, 1.0, n=6, m=17, r=0.5 + 1e-6 * i
-                )
-                dispatch._shape_repr(shape.alpha, shape.betas)
+        def pdmv_shape(r):
+            shape = build_pattern(PatternKind.PDMV, 1.0, n=6, m=17, r=r)
+            return shape.alpha, shape.betas
+
+        fill = {
+            "unit_pattern": lambda i: formulas._unit_pattern(
+                PatternKind.PDMV, 1 + i % 8, 1 + (i // 8) % 24,
+                0.5 + 1e-6 * i,
+            ),
+            "schedule_template": lambda i: fast_engine._schedule_template(
+                big.alpha, big.betas, hera.V, hera.V_star, hera.r,
+                hera.C_M, hera.C_D + i,
+            ),
+            "schedule_arrays": lambda i: fast_engine.schedule_arrays(
+                big.rescaled(1e3 + i), hera
+            ),
+            "config_entropy": lambda i: dispatch._config_entropy(
+                big.rescaled(1e3 + i), hera, True
+            ),
+            "shape_repr": lambda i: dispatch._shape_repr(
+                *pdmv_shape(0.5 + 1e-6 * i)
+            ),
+        }[name]
 
         gc.collect()
         tracemalloc.start()
