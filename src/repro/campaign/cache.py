@@ -180,7 +180,6 @@ class ResultCache:
         os.makedirs(self.root, exist_ok=True)
         self._hits = 0
         self._misses = 0
-        self._shards: set = set()
 
     # -- key/path plumbing --------------------------------------------------
     def key(self, point: ScenarioPoint) -> str:
@@ -224,19 +223,15 @@ class ResultCache:
         ``mkstemp``'s open/close round trip on every store.
         """
         path = self._path(key)
-        shard = os.path.dirname(path)
-        if shard not in self._shards:
-            os.makedirs(shard, exist_ok=True)
-            self._shards.add(shard)
         entry = {"~meta": entry_versions(record), "record": record}
         tmp = f"{path}.{os.getpid()}.{token_hex(8)}.tmp"
         try:
             try:
                 fh = open(tmp, "w")
             except FileNotFoundError:
-                # The shard directory vanished under us (external
-                # cleanup); rebuild it and retry once.
-                os.makedirs(shard, exist_ok=True)
+                # First entry of its shard (or the shard was cleaned up
+                # under us): create the directory and retry once.
+                os.makedirs(os.path.dirname(path), exist_ok=True)
                 fh = open(tmp, "w")
             with fh:
                 fh.write(json.dumps(entry, separators=(",", ":"),
@@ -250,47 +245,23 @@ class ResultCache:
     def get_many(self, keys: Iterable[str]) -> Dict[str, Dict[str, Any]]:
         """Bulk fetch: present keys and their records, hits/misses counted.
 
-        Keys are grouped by shard and resolved against **one directory
-        listing per shard** instead of one ``open()`` probe per key, so
-        a warm lookup over a large campaign costs a handful of
-        ``listdir`` calls plus one ``open`` per actual hit -- misses
-        (the common case on a cold sweep) never touch a file.  Absent
-        keys are simply missing from the result.
+        One :meth:`get` probe per key, so the cost follows the number of
+        keys, not the size of the cache (a shard listing grows with it).
+        Absent keys are simply missing from the result.
         """
         out: Dict[str, Dict[str, Any]] = {}
-        by_shard: Dict[str, list] = {}
         for key in keys:
-            by_shard.setdefault(key[:2], []).append(key)
-        for prefix, shard_keys in by_shard.items():
-            shard_dir = os.path.join(self.root, prefix)
-            try:
-                present = set(os.listdir(shard_dir))
-            except FileNotFoundError:
-                self._misses += len(shard_keys)
-                continue
-            for key in shard_keys:
-                name = f"{key}.json"
-                if name not in present:
-                    self._misses += 1
-                    continue
-                try:
-                    with open(os.path.join(shard_dir, name)) as fh:
-                        record = json.load(fh)
-                except (FileNotFoundError, json.JSONDecodeError):
-                    self._misses += 1
-                    continue
-                self._hits += 1
-                out[key] = self._unwrap(record)
+            record = self.get(key)
+            if record is not None:
+                out[key] = record
         return out
 
     def put_many(self, records: Mapping[str, Dict[str, Any]]) -> None:
         """Store many records; each write stays individually atomic.
 
-        Batching amortises the per-store bookkeeping (one shard
-        ``makedirs`` per *new* shard via the shard memo) while keeping
-        the temp-file + ``os.replace`` crash safety of :meth:`put` per
-        entry -- a killed bulk write leaves complete entries and temp
-        litter, never a corrupt record.
+        Each entry keeps the temp-file + ``os.replace`` crash safety of
+        :meth:`put` -- a killed bulk write leaves complete entries and
+        temp litter, never a corrupt record.
         """
         for key, record in records.items():
             self.put(key, record)
@@ -406,7 +377,6 @@ class ResultCache:
                 os.rmdir(shard_dir)
             except OSError:
                 continue  # not empty: keep it
-            self._shards.discard(shard_dir)
 
     def prune_older_than(
         self, days: float, *, dry_run: bool = False

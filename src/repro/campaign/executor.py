@@ -588,12 +588,9 @@ def run_campaign(
 
     # Unique work, in first-appearance order (duplicate configurations in
     # one campaign -- e.g. a grid's symmetric cells -- compute once).
-    # Cache lookups go through one bulk get_many pass: one shard listing
-    # per key prefix instead of one open() probe per point, which is the
-    # difference between O(points) and O(shards) syscalls on a large
-    # warm campaign.
+    # The cache is probed per key, so the lookup costs one open() per
+    # point whatever the cache holds.
     todo: List[Tuple[str, ScenarioPoint]] = []
-    lookups: List[Tuple[str, ScenarioPoint]] = []
     seen: set = set()
     for key, point in zip(keys, points):
         if key in seen:
@@ -603,19 +600,13 @@ def run_campaign(
             resolved[key] = journal.existing[key]
             n_journal += 1
             continue
-        lookups.append((key, point))
-    if cache is not None and lookups:
-        hits = cache.get_many([key for key, _ in lookups])
-        for key, point in lookups:
-            hit = hits.get(key)
-            if hit is not None:
-                resolved[key] = hit
-                journal.append(key, hit)
-                n_cache += 1
-            else:
-                todo.append((key, point))
-    else:
-        todo = lookups
+        hit = cache.get(key) if cache is not None else None
+        if hit is not None:
+            resolved[key] = hit
+            journal.append(key, hit)
+            n_cache += 1
+        else:
+            todo.append((key, point))
 
     try:
         n_computed, n_packed = _execute(

@@ -120,7 +120,7 @@ class TieredCache:
         return record
 
     def get_many(self, keys: Iterable[str]) -> Dict[str, Dict[str, Any]]:
-        """Bulk fetch: memory first, one bulk disk pass for the rest."""
+        """Bulk fetch: memory first, then the disk tier for the rest."""
         out: Dict[str, Dict[str, Any]] = {}
         missing = []
         for key in keys:

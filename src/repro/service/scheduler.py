@@ -425,9 +425,8 @@ class MicroBatchScheduler:
         unique: Dict[str, ScenarioPoint] = {}
         for key, point in zip(keys, points):
             unique.setdefault(key, point)
-        # One bulk lookup for the whole request: the disk tier then
-        # pays one shard listing per prefix instead of one open() probe
-        # per point, which matters on the loop thread.
+        # One bulk lookup per request, deduplicated: the disk tier
+        # probes each unique key once, on the loop thread.
         outcomes: Dict[str, Outcome] = {}
         if self._cache is not None:
             t_cache0 = time.perf_counter() if trace is not None else 0.0

@@ -210,12 +210,12 @@ class TestResultCache:
 
 
 class TestBulkOps:
-    """get_many/put_many: one shard listing pass, per-entry atomicity."""
+    """get_many/put_many: per-key hit/miss counting, per-entry atomicity."""
 
     @staticmethod
     def _keys(n, *, shard="ab"):
-        # Synthetic hex-style keys; a shared prefix exercises the
-        # one-listing-per-shard path, distinct prefixes the grouping.
+        # Synthetic hex-style keys; a shared prefix puts them in one
+        # shard, distinct prefixes in several.
         return [f"{shard}{i:062x}" for i in range(n)]
 
     def test_roundtrip(self, tmp_path):
@@ -313,7 +313,7 @@ class TestPrune:
         assert cache.stats().entries == 0
 
     def test_put_after_prune_rebuilds_shard(self, tmp_path):
-        """The shard memo survives pruned directories."""
+        """put recreates a shard directory that a prune removed."""
         cache = ResultCache(str(tmp_path / "c"))
         key = "aa" + "1" * 62
         cache.put(key, {"v": 1})
