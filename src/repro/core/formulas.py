@@ -101,7 +101,9 @@ def check_costs(kind: PatternKind, platform: Any) -> None:
     message names the family and the cost.
     """
     for name in _DIVISOR_COSTS.get(kind, ()):
-        if np.any(getattr(platform, name) == 0.0):
+        zero = getattr(platform, name) == 0.0
+        # A Platform's cost is a float: skip np.any's array dispatch.
+        if zero if isinstance(zero, bool) else zero.any():
             raise ValueError(
                 f"{kind.value} has no optimal pattern with {name} = 0: "
                 f"its Table-1 optimum divides by {name}"
