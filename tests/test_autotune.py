@@ -200,6 +200,20 @@ class TestAdaptiveScheduler:
                 await asyncio.sleep(delay_s)
                 return await scheduler.submit([_point(seed)])
 
+            async def after_cut(seed):
+                # Poll once per loop iteration.  The early cut follows
+                # the 64th point within a few iterations; waiting for
+                # the window's deadline (over 4 ms) would take hundreds.
+                # Submitting only after the cut keeps a loop stall from
+                # landing this point in the first batch.
+                spins = 0
+                while scheduler.stats()["counters"]["batches"] < 1:
+                    if scheduler.stats()["queued"] >= 64:
+                        spins += 1
+                    await asyncio.sleep(0)
+                assert spins < 100
+                return await scheduler.submit([_point(seed)])
+
             try:
                 # 63 points open a window of several ms (the burst
                 # pushes the rate past the knee); the 64th fills the
@@ -208,7 +222,7 @@ class TestAdaptiveScheduler:
                 results = await asyncio.gather(
                     *(scheduler.submit([_point(s)]) for s in range(63)),
                     late(63, 0.001),
-                    late(64, 0.004),
+                    after_cut(64),
                 )
                 return results, scheduler.stats()
             finally:
