@@ -12,9 +12,9 @@ algebraic consequences), we recompute ``(o_ef, o_rw)`` from the built
 pattern with the pieces of :func:`repro.core.firstorder.decompose_overhead`
 (its shape terms are memoised per shape; only the rates and costs are
 applied per platform), guaranteeing internal consistency between the
-closed forms, the generic decomposition and the simulator.  The continuous-H* expressions of Table 1 are also
-provided (:func:`continuous_overhead`) and tested against the integer
-solution.
+closed forms, the generic decomposition and the simulator.  The
+continuous-H* expressions of Table 1 are also provided
+(:func:`continuous_overhead`) and tested against the integer solution.
 """
 
 from __future__ import annotations
