@@ -9,6 +9,7 @@ Usage (from the repository root)::
     python tests/golden/regenerate.py packed     # packed campaign only
     python tests/golden/regenerate.py figures    # figures 7-9 + accuracy
     python tests/golden/regenerate.py cold       # cold error-rate sweep
+    python tests/golden/regenerate.py draws      # fast-tier draw identity
 
 Only run this after an *intended* semantics change, and bump the
 matching version in the same commit so the campaign result cache does
@@ -26,6 +27,7 @@ sys.path.insert(0, os.path.join(HERE, os.pardir, os.pardir, "src"))
 
 from golden_util import (  # noqa: E402
     write_cold_sweep_golden,
+    write_draw_identity_golden,
     write_figures_golden,
     write_golden,
     write_packed_campaign_golden,
@@ -34,7 +36,8 @@ from golden_util import (  # noqa: E402
 
 if __name__ == "__main__":
     what = sys.argv[1] if len(sys.argv) > 1 else "all"
-    if what not in ("all", "engine", "tables", "packed", "figures", "cold"):
+    if what not in ("all", "engine", "tables", "packed", "figures", "cold",
+                    "draws"):
         raise SystemExit(f"unknown fixture selector {what!r}")
     if what in ("all", "engine"):
         print(f"wrote {write_golden()}")
@@ -47,3 +50,5 @@ if __name__ == "__main__":
         print(f"wrote {write_figures_golden()}")
     if what in ("all", "cold"):
         print(f"wrote {write_cold_sweep_golden()}")
+    if what in ("all", "draws"):
+        print(f"wrote {write_draw_identity_golden()}")

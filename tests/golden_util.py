@@ -433,3 +433,171 @@ def load_cold_sweep_golden() -> List[Dict[str, Any]]:
     """Load the frozen cold-sweep records."""
     with open(COLD_SWEEP_GOLDEN_PATH) as fh:
         return json.load(fh)["records"]
+
+
+# ---------------------------------------------------------------------------
+# draw-identity fixture (the fast tier's solo batches)
+# ---------------------------------------------------------------------------
+
+DRAW_IDENTITY_GOLDEN_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "golden",
+    "draw_identity_golden.json",
+)
+
+#: Seed of the draw-identity cases; case ``i`` of a group draws from
+#: ``default_rng([DRAW_SEED, offset + i])``.
+DRAW_SEED = 20260731
+
+
+def _draw_platform(name: str, lambda_f: float, lambda_s: float) -> Platform:
+    return Platform(
+        name=name,
+        nodes=2,
+        lambda_f=lambda_f,
+        lambda_s=lambda_s,
+        costs=default_costs(C_D=15.0, C_M=2.0),
+    )
+
+
+def _optimised(kind: PatternKind, platform: Platform, fs: bool = True):
+    """The Table-1 optimum of a family and its simulation platform."""
+    from repro.core.formulas import optimal_pattern, simulation_costs
+
+    opt = optimal_pattern(kind, platform)
+    return opt.pattern, simulation_costs(kind, platform), fs
+
+
+def draw_identity_configs():
+    """Heterogeneous ``(pattern, platform, fail_stop)`` configurations.
+
+    Every structural family, catalog and weak-scaled platforms, both
+    fail-stop settings and the zero-rate corners (no silent errors, no
+    fail-stop errors).
+    """
+    from repro.platforms.catalog import hera
+    from repro.platforms.scaling import weak_scaling_platform
+
+    return [
+        _optimised(PatternKind.PDMV, hera()),
+        _optimised(PatternKind.PDM, weak_scaling_platform(2**16)),
+        _optimised(PatternKind.PD, hera(), fs=False),
+        _optimised(PatternKind.PDV, weak_scaling_platform(2**14)),
+        _optimised(PatternKind.PDMV_STAR, weak_scaling_platform(2**18)),
+        (build_pattern(PatternKind.PDM, 900.0, n=3),
+         _draw_platform("zs", 5e-4, 0.0), True),
+        (build_pattern(PatternKind.PDV, 900.0, m=3, r=0.8),
+         _draw_platform("zf", 0.0, 8e-4), True),
+    ]
+
+
+def stressed_configs():
+    """Error rates x5-x20, both fail-stop settings, zero-rate corners.
+
+    At these rates disk recoveries are themselves struck, so the retry
+    rounds of the recovery loop run.
+    """
+    from repro.platforms.catalog import hera
+    from repro.platforms.scaling import weak_scaling_platform
+
+    w14 = weak_scaling_platform(2**14)
+    fixed = build_pattern(PatternKind.PDMV, 4000.0, n=3, m=2)
+    return [
+        _optimised(PatternKind.PDMV, w14.scaled_rates(5, 5)),
+        _optimised(PatternKind.PDMV, w14.scaled_rates(5, 5), fs=False),
+        _optimised(PatternKind.PD, w14.scaled_rates(10, 10)),
+        _optimised(PatternKind.PDV, hera().scaled_rates(10, 20)),
+        _optimised(PatternKind.PDMV_STAR, hera().scaled_rates(20, 5),
+                  fs=False),
+        (fixed, hera().scaled_rates(20, 0), True),
+        (fixed, hera().scaled_rates(0, 20), True),
+        (fixed, hera().scaled_rates(0, 0), False),
+    ]
+
+
+def draw_identity_cases():
+    """``name -> (pattern, platform, n_instances, seed, fail_stop)``.
+
+    Three groups: ``solo/i`` (the configurations of
+    :func:`draw_identity_configs`, ``200 + 40 i`` instances), ``mixed/i``
+    (the PDMV optimum on Hera with fail-stop errors in operations on and
+    off, 150 instances) and ``stressed/i`` (:func:`stressed_configs`,
+    300 instances).
+    """
+    from repro.platforms.catalog import hera
+
+    cases = {}
+    for i, (pattern, platform, fs) in enumerate(draw_identity_configs()):
+        cases[f"solo/{i}"] = (
+            pattern, platform, 200 + 40 * i, [DRAW_SEED, i], fs
+        )
+    pdmv, platform, _ = _optimised(PatternKind.PDMV, hera())
+    for i, fs in enumerate((True, False)):
+        cases[f"mixed/{i}"] = (
+            pdmv, platform, 150, [DRAW_SEED, 100 + i], fs
+        )
+    for i, (pattern, platform, fs) in enumerate(stressed_configs()):
+        cases[f"stressed/{i}"] = (
+            pattern, platform, 300, [DRAW_SEED, 200 + i], fs
+        )
+    return cases
+
+
+def batch_digest(result) -> Dict[str, Any]:
+    """``n``, the sums and a SHA-256 of each per-instance array's bytes."""
+    import hashlib
+
+    def entry(arr: np.ndarray) -> Dict[str, Any]:
+        arr = np.ascontiguousarray(arr)
+        return {
+            "sha256": hashlib.sha256(arr.tobytes()).hexdigest(),
+            "sum": arr.sum().item(),
+        }
+
+    return {
+        "n": int(result.times.size),
+        "pattern_work": float(result.pattern_work),
+        "times": entry(result.times),
+        "counters": {
+            name: entry(result.counters[name])
+            for name in sorted(result.counters)
+        },
+    }
+
+
+def compute_draw_identity_golden() -> Dict[str, Dict[str, Any]]:
+    """The fast tier's solo batch of every draw-identity case."""
+    from repro.simulation.fast_engine import simulate_general_batch
+
+    return {
+        name: batch_digest(
+            simulate_general_batch(
+                pattern, platform, n, np.random.default_rng(seed),
+                fail_stop_in_operations=fs,
+            )
+        )
+        for name, (pattern, platform, n, seed, fs)
+        in draw_identity_cases().items()
+    }
+
+
+def write_draw_identity_golden() -> str:
+    """Recompute and overwrite the draw-identity fixture."""
+    return _write_json(
+        DRAW_IDENTITY_GOLDEN_PATH,
+        {
+            "comment": (
+                "Per-instance times and counters of the fast tier's solo "
+                "batches, as SHA-256 digests of the array bytes plus n "
+                "and the sums; regenerate with tests/golden/regenerate.py "
+                "draws after an intended semantics change (and bump "
+                "SEMANTICS_VERSION)."
+            ),
+            "cases": compute_draw_identity_golden(),
+        },
+    )
+
+
+def load_draw_identity_golden() -> Dict[str, Dict[str, Any]]:
+    """Load the frozen draw-identity digests."""
+    with open(DRAW_IDENTITY_GOLDEN_PATH) as fh:
+        return json.load(fh)["cases"]

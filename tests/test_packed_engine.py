@@ -1,13 +1,15 @@
 """Packing-invariance tests for the cross-point packed batch engine.
 
 The packed engine's contract is **draw identity**: for every job, times
-and all counters are bit-identical to a solo
-:func:`~repro.simulation.fast_engine.simulate_general_batch` call with
+and all counters are bit-identical to the fast tier's solo batch with
 the same generator state, whatever the packing -- singletons, pairs, one
-mega-batch, or any permutation.  These tests assert exactly that over a
-heterogeneous configuration matrix (all structural families, catalog and
-weak-scaled platforms, both fail-stop settings, zero-rate corners), plus
-the dispatch-level guarantees of the ``packed`` tier.
+mega-batch, or any permutation.  The solo batches are pinned by
+``tests/golden/draw_identity_golden.json`` (SHA-256 digests of every
+per-instance array); these tests compare each packed job against its
+case there, over a heterogeneous configuration matrix (all structural
+families, catalog and weak-scaled platforms, both fail-stop settings,
+zero-rate corners), plus the dispatch-level guarantees of the
+``packed`` tier.
 """
 
 from __future__ import annotations
@@ -15,19 +17,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from golden_util import (
+    DRAW_SEED as SEED,
+    batch_digest,
+    draw_identity_cases,
+    draw_identity_configs,
+    load_draw_identity_golden,
+)
 from repro.campaign.planner import plan_packs
-from repro.core.builders import PatternKind, build_pattern
+from repro.core.builders import PatternKind
 from repro.core.formulas import optimal_pattern, simulation_costs
 from repro.platforms.catalog import hera
-from repro.platforms.platform import Platform, default_costs
-from repro.platforms.scaling import weak_scaling_platform
+from repro.platforms.platform import Platform
 from repro.simulation.dispatch import (
     EngineTier,
     run_stats,
     select_engine,
     tier_rng,
 )
-from repro.simulation.fast_engine import simulate_general_batch
 from repro.simulation.packed_engine import (
     PACKED_VERSION,
     PackedJob,
@@ -35,7 +42,7 @@ from repro.simulation.packed_engine import (
     simulate_packed_batch,
 )
 
-SEED = 20260731
+GOLDEN = load_draw_identity_golden()
 
 
 def _optimised(kind: PatternKind, platform: Platform, fs: bool = True):
@@ -43,54 +50,10 @@ def _optimised(kind: PatternKind, platform: Platform, fs: bool = True):
     return opt.pattern, simulation_costs(kind, platform), fs
 
 
-def _zero_silent_platform() -> Platform:
-    return Platform(
-        name="zs",
-        nodes=2,
-        lambda_f=5e-4,
-        lambda_s=0.0,
-        costs=default_costs(C_D=15.0, C_M=2.0),
-    )
-
-
-def _zero_fail_platform() -> Platform:
-    return Platform(
-        name="zf",
-        nodes=2,
-        lambda_f=0.0,
-        lambda_s=8e-4,
-        costs=default_costs(C_D=15.0, C_M=2.0),
-    )
-
-
 @pytest.fixture(scope="module")
 def config_matrix():
     """Heterogeneous (pattern, platform, fail_stop) configurations."""
-    return [
-        _optimised(PatternKind.PDMV, hera()),
-        _optimised(PatternKind.PDM, weak_scaling_platform(2**16)),
-        _optimised(PatternKind.PD, hera(), fs=False),
-        _optimised(PatternKind.PDV, weak_scaling_platform(2**14)),
-        _optimised(PatternKind.PDMV_STAR, weak_scaling_platform(2**18)),
-        (build_pattern(PatternKind.PDM, 900.0, n=3),
-         _zero_silent_platform(), True),
-        (build_pattern(PatternKind.PDV, 900.0, m=3, r=0.8),
-         _zero_fail_platform(), True),
-    ]
-
-
-@pytest.fixture(scope="module")
-def solo_results(config_matrix):
-    out = []
-    for i, (pattern, platform, fs) in enumerate(config_matrix):
-        rng = np.random.default_rng([SEED, i])
-        out.append(
-            simulate_general_batch(
-                pattern, platform, 200 + 40 * i, rng,
-                fail_stop_in_operations=fs,
-            )
-        )
-    return out
+    return draw_identity_configs()
 
 
 def _jobs(config_matrix, indices):
@@ -106,11 +69,32 @@ def _jobs(config_matrix, indices):
     ]
 
 
-def _assert_same(solo, packed):
-    assert np.array_equal(solo.times, packed.times)
-    for name, arr in solo.counters.items():
-        assert np.array_equal(arr, packed.counters[name]), name
-    assert solo.pattern_work == packed.pattern_work
+def _case_jobs(group):
+    """Fresh jobs for every golden case of ``group``, in case order."""
+    cases = draw_identity_cases()
+    names = sorted(
+        (n for n in cases if n.split("/")[0] == group),
+        key=lambda n: int(n.split("/")[1]),
+    )
+    return names, [
+        PackedJob(
+            pattern, platform, n, np.random.default_rng(seed),
+            fail_stop_in_operations=fs,
+        )
+        for pattern, platform, n, seed, fs in map(cases.get, names)
+    ]
+
+
+def _assert_golden(name, packed):
+    """``packed`` reproduces the golden solo batch of case ``name``."""
+    got, want = batch_digest(packed), GOLDEN[name]
+    assert got["n"] == want["n"], name
+    assert got["times"]["sum"] == want["times"]["sum"], name
+    for counter, digest in want["counters"].items():
+        assert got["counters"][counter]["sum"] == digest["sum"], (
+            name, counter
+        )
+    assert got == want, name
 
 
 @pytest.mark.parametrize(
@@ -125,7 +109,7 @@ def _assert_same(solo, packed):
     ids=["singletons", "pairs", "mega", "shuffled", "uneven"],
 )
 def test_packed_is_bit_identical_to_solo_for_every_packing(
-    config_matrix, solo_results, grouping
+    config_matrix, grouping
 ):
     results = {}
     for group in grouping:
@@ -133,13 +117,18 @@ def test_packed_is_bit_identical_to_solo_for_every_packing(
             _jobs(config_matrix, group)
         )):
             results[i] = res
-    for i, solo in enumerate(solo_results):
-        _assert_same(solo, results[i])
+    assert sorted(results) == list(range(len(config_matrix)))
+    for i, res in results.items():
+        _assert_golden(f"solo/{i}", res)
 
 
-def test_packed_to_stats_matches_solo(config_matrix, solo_results):
+def test_packed_to_stats_matches_solo(config_matrix):
     (packed,) = simulate_packed_batch(_jobs(config_matrix, [0]))
-    assert packed.to_stats(4) == solo_results[0].to_stats(4)
+    _assert_golden("solo/0", packed)
+    mega = simulate_packed_batch(
+        _jobs(config_matrix, range(len(config_matrix)))
+    )
+    assert packed.to_stats(4) == mega[0].to_stats(4)
 
 
 def test_shared_generator_between_jobs_is_rejected(config_matrix):
@@ -233,27 +222,12 @@ def test_packed_version_is_an_int():
     assert PACKED_VERSION >= 1
 
 
-def test_mixed_fail_stop_settings_in_one_pack(config_matrix):
+def test_mixed_fail_stop_settings_in_one_pack():
     """Rows with different fail-stop settings coexist in one batch."""
-    pattern, platform, _ = _optimised(PatternKind.PDMV, hera())
-    solo = []
-    for i, fs in enumerate((True, False)):
-        rng = np.random.default_rng([SEED, 100 + i])
-        solo.append(
-            simulate_general_batch(
-                pattern, platform, 150, rng, fail_stop_in_operations=fs
-            )
-        )
-    jobs = [
-        PackedJob(
-            pattern, platform, 150,
-            np.random.default_rng([SEED, 100 + i]),
-            fail_stop_in_operations=fs,
-        )
-        for i, fs in enumerate((True, False))
-    ]
-    for s, p in zip(solo, simulate_packed_batch(jobs)):
-        _assert_same(s, p)
+    names, jobs = _case_jobs("mixed")
+    assert [job.fail_stop_in_operations for job in jobs] == [True, False]
+    for name, packed in zip(names, simulate_packed_batch(jobs)):
+        _assert_golden(name, packed)
 
 
 def test_stressed_rates_are_bit_identical_to_solo():
@@ -263,39 +237,12 @@ def test_stressed_rates_are_bit_identical_to_solo():
     rate or both off); at these rates disk recoveries are themselves
     struck, so the retry rounds run with several jobs at once.
     """
-    w14 = weak_scaling_platform(2**14)
-    fixed = build_pattern(PatternKind.PDMV, 4000.0, n=3, m=2)
-    configs = [
-        _optimised(PatternKind.PDMV, w14.scaled_rates(5, 5)),
-        _optimised(PatternKind.PDMV, w14.scaled_rates(5, 5), fs=False),
-        _optimised(PatternKind.PD, w14.scaled_rates(10, 10)),
-        _optimised(PatternKind.PDV, hera().scaled_rates(10, 20)),
-        _optimised(PatternKind.PDMV_STAR, hera().scaled_rates(20, 5),
-                   fs=False),
-        (fixed, hera().scaled_rates(20, 0), True),
-        (fixed, hera().scaled_rates(0, 20), True),
-        (fixed, hera().scaled_rates(0, 0), False),
-    ]
-
-    def run(i):
-        pattern, platform, fs = configs[i]
-        return PackedJob(
-            pattern, platform, 300, np.random.default_rng([SEED, 200 + i]),
-            fail_stop_in_operations=fs,
-        )
-
-    solo = [
-        simulate_general_batch(
-            job.pattern, job.platform, job.n_instances, job.rng,
-            fail_stop_in_operations=job.fail_stop_in_operations,
-        )
-        for job in map(run, range(len(configs)))
-    ]
-    packed = simulate_packed_batch([run(i) for i in range(len(configs))])
-    for s, p in zip(solo, packed):
-        _assert_same(s, p)
-    fail_stops = sum(int(s.counters["fail_stop_errors"].sum()) for s in solo)
-    disk = sum(int(s.counters["disk_recoveries"].sum()) for s in solo)
+    names, jobs = _case_jobs("stressed")
+    packed = simulate_packed_batch(jobs)
+    for name, res in zip(names, packed):
+        _assert_golden(name, res)
+    fail_stops = sum(int(p.counters["fail_stop_errors"].sum()) for p in packed)
+    disk = sum(int(p.counters["disk_recoveries"].sum()) for p in packed)
     assert fail_stops > disk
 
 
