@@ -134,59 +134,33 @@ def _model_record(
     }
 
 
-def _mc_record_fields(
-    point: ScenarioPoint, engine: str, predicted: float, agg
-) -> Dict[str, Any]:
-    """The Monte-Carlo fields of a simulate record, from aggregated runs."""
-    lo, hi = agg.overhead_ci95()
-    return {
-        "n_patterns": int(point.n_patterns),
-        "n_runs": int(point.n_runs),
-        "seed": point.seed,
-        "engine": engine,
-        "predicted": float(predicted),
-        "simulated": float(agg.mean_overhead),
-        "std_overhead": float(agg.std_overhead),
-        "ci95_low": float(lo),
-        "ci95_high": float(hi),
-        "mean_total_time": float(agg.mean_total_time),
-        "disk_ckpts_per_hour": float(
-            agg.rates_per_hour["disk_checkpoints"]
-        ),
-        "mem_ckpts_per_hour": float(
-            agg.rates_per_hour["memory_checkpoints"]
-        ),
-        "verifs_per_hour": float(agg.rates_per_hour["verifications"]),
-        "disk_recoveries_per_day": float(
-            agg.rates_per_day["disk_recoveries"]
-        ),
-        "mem_recoveries_per_day": float(
-            agg.rates_per_day["memory_recoveries"]
-        ),
-        "disk_rec_per_pattern": float(
-            agg.per_pattern["disk_recoveries"]
-        ),
-        "mem_rec_per_pattern": float(agg.per_pattern["memory_recoveries"]),
-    }
-
-
 def _packed_mc_fields_batch(
     group: "List[Tuple[ScenarioPoint, str, float]]",
     results: "List[Any]",
-    n_runs: int,
-    per_run: int,
+    useful: "List[Sequence[float]]",
 ) -> List[Dict[str, Any]]:
-    """Monte-Carlo record fields for a uniform-shape group of results.
+    """Monte-Carlo record fields for a uniform-shape group of points.
 
-    Performs, per field and per point, exactly the floating-point
-    operations that ``aggregate_stats(res.to_stats(n_runs))`` +
-    :func:`_mc_record_fields` perform -- row-wise reshape sums over a
-    ``(points * runs, per_run)`` matrix are bit-identical to per-slice
-    sums, int64 counter sums are exact, and every derived quantity
-    repeats the same IEEE double operations row by row -- without
-    materialising per-run stats objects, in a handful of NumPy calls
-    for the whole group.  ``tests/test_packed_campaign.py`` asserts the
-    dict equality against :func:`evaluate_point` per point.
+    The one code path that turns Monte-Carlo runs into record fields.
+    ``group`` holds ``(point, engine, predicted)`` per point, all with
+    the same ``n_runs`` and ``n_patterns``.  ``results`` holds per point
+    a :class:`~repro.simulation.packed_engine.GeneralBatchResult` whose
+    ``times`` and ``counters`` carry ``k`` consecutive values per run:
+    ``k = n_patterns`` for a packed batch's instances, ``k = 1`` for
+    values already summed per run (:func:`evaluate_point`).  ``useful``
+    holds per point the useful work of each run, or one value shared by
+    all its runs.
+
+    Row-wise reshape sums over a ``(points * runs, k)`` matrix are
+    bit-identical to per-slice sums (``GeneralBatchResult.to_stats``),
+    int64 counter sums are exact, and every derived quantity repeats,
+    row by row, the IEEE double operations of
+    :func:`~repro.simulation.stats.aggregate_stats` over the point's
+    runs -- in a handful of NumPy calls for the whole group.
+    ``tests/test_record_routing.py`` asserts the fields equal those
+    derived from :attr:`MonteCarloResult.aggregated
+    <repro.simulation.runner.MonteCarloResult.aggregated>` on every
+    tier.
     """
     import math
 
@@ -195,18 +169,17 @@ def _packed_mc_fields_batch(
     from repro.simulation.stats import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
     G = len(group)
-    R = n_runs
+    R = group[0][0].n_runs
+    per_run = group[0][0].n_patterns
 
     def runs_2d(values: "List[np.ndarray]") -> "np.ndarray":
         """(G, R) per-run sums of per-instance arrays."""
         return (
-            np.concatenate(values).reshape(G * R, per_run).sum(axis=1)
+            np.concatenate(values).reshape(G * R, -1).sum(axis=1)
         ).reshape(G, R)
 
     run_times = runs_2d([res.times for res in results])
-    useful = np.array(
-        [res.pattern_work * per_run for res in results]
-    )[:, None]
+    useful = np.array(useful)
 
     def counters_2d(name: str) -> "np.ndarray":
         return runs_2d(
@@ -284,7 +257,11 @@ def evaluate_point(point: ScenarioPoint) -> Dict[str, Any]:
         return record
     opt = config.optimal
 
+    import numpy as np
+
+    from repro.simulation.packed_engine import GeneralBatchResult
     from repro.simulation.runner import run_monte_carlo
+    from repro.simulation.stats import COUNTER_FIELDS
 
     res = run_monte_carlo(
         opt.pattern,
@@ -296,11 +273,24 @@ def evaluate_point(point: ScenarioPoint) -> Dict[str, Any]:
         predicted_overhead=opt.H_star,
         engine=point.engine,
     )
-    record.update(
-        _mc_record_fields(
-            point, res.engine, res.predicted_overhead, res.aggregated
-        )
+    # The runs as a batch of per-run values (one "instance" per run);
+    # the step engine accumulates its useful work, so it is taken per
+    # run rather than recomputed.
+    runs = res.runs
+    per_run = GeneralBatchResult(
+        times=np.array([run.total_time for run in runs]),
+        counters={
+            name: np.array([getattr(run, name) for run in runs])
+            for name in COUNTER_FIELDS
+        },
+        pattern_work=opt.pattern.W,
     )
+    (fields,) = _packed_mc_fields_batch(
+        [(point, res.engine, res.predicted_overhead)],
+        [per_run],
+        [[run.useful_work for run in runs]],
+    )
+    record.update(fields)
     return record
 
 
@@ -399,7 +389,7 @@ def evaluate_points(
             groups.setdefault(
                 (point.n_runs, point.n_patterns), []
             ).append(pos)
-        for (n_runs, per_run), positions in groups.items():
+        for (_, per_run), positions in groups.items():
             group = [
                 (points[packed_meta[pos][0]], packed_meta[pos][2],
                  packed_meta[pos][1].optimal.H_star)
@@ -408,8 +398,8 @@ def evaluate_points(
             mc_fields = _packed_mc_fields_batch(
                 group,
                 [results[pos] for pos in positions],
-                n_runs,
-                per_run,
+                [[results[pos].pattern_work * per_run]
+                 for pos in positions],
             )
             for pos, fields in zip(positions, mc_fields):
                 i, config, _ = packed_meta[pos]

@@ -6,8 +6,8 @@ Scalar entry points (:func:`~repro.core.firstorder.decompose_overhead`,
 pattern on one platform per call.  This module evaluates the same closed
 forms over a whole **struct-of-arrays grid** of platforms -- every cell of
 a ``platform x lambda_f x lambda_s x family x (n, m)`` sweep in a handful
-of NumPy passes -- mirroring what :mod:`repro.simulation.fast_engine` did
-for the Monte-Carlo side.
+of NumPy passes -- mirroring what :mod:`repro.simulation.packed_engine`
+does for the Monte-Carlo side.
 
 The vectorised exact recursion exploits a structural fact about the
 canonical families: all ``n`` segments of a built pattern are identical,

@@ -34,11 +34,6 @@ from repro.simulation.fast_pd import (
     pd_overhead_batch,
     simulate_pd_batch,
 )
-from repro.simulation.fast_engine import (
-    GeneralBatchResult,
-    run_monte_carlo_fast,
-    simulate_general_batch,
-)
 
 __all__ = [
     "OperationKind",
@@ -63,7 +58,4 @@ __all__ = [
     "PdBatchResult",
     "simulate_pd_batch",
     "pd_overhead_batch",
-    "GeneralBatchResult",
-    "simulate_general_batch",
-    "run_monte_carlo_fast",
 ]

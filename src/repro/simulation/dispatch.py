@@ -7,9 +7,9 @@ semantics, ordered fastest first:
    retry round, but only for the single-segment, single-chunk ``PD``
    shape with error-free resilience operations
    (``fail_stop_in_operations=False``);
-2. **fast** (:mod:`repro.simulation.fast_engine`): one NumPy pass per
-   operation across the whole batch, for arbitrary pattern shapes and
-   both fail-stop settings;
+2. **fast** (:mod:`repro.simulation.packed_engine`): a packed batch of
+   one job, advancing all instances together in NumPy passes, for
+   arbitrary pattern shapes and both fail-stop settings;
 3. **step** (:mod:`repro.simulation.engine`): one Python step per
    operation per instance -- covers everything, including per-operation
    execution traces.
@@ -22,13 +22,13 @@ values and sampled runs are different deliverables -- but it is a
 first-class ``engine=`` request everywhere the campaign and experiment
 layers accept one.
 
-A fifth choice, **packed** (:mod:`repro.simulation.packed_engine`), is
-an execution *strategy* rather than new semantics: it runs fast-tier
-simulations for many heterogeneous points in one struct-of-arrays
-mega-batch, with per-point results bit-identical to solo fast runs.  At
-this single-point level it is explicit-only (``engine="packed"``); the
-campaign executor auto-packs multi-point campaigns whose points request
-``auto``.
+A fifth choice, **packed**, is an execution *strategy* rather than new
+semantics: the same engine as ``fast``, built to run many heterogeneous
+points in one struct-of-arrays mega-batch, with per-point results
+bit-identical to a batch of one.  At this single-point level both run
+the same batch of one and differ only in the tier label records carry;
+``packed`` is explicit-only (``engine="packed"``), and the campaign
+executor auto-packs the points that request ``auto``.
 
 :func:`select_engine` picks the fastest tier whose semantics cover a
 request; :func:`run_stats` executes the request on that tier and returns
@@ -301,7 +301,7 @@ def run_stats(
             "or campaign points with engine='analytic'"
         )
 
-    if tier is EngineTier.PACKED:
+    if tier in (EngineTier.FAST_GENERAL, EngineTier.PACKED):
         from repro.simulation.packed_engine import (
             PackedJob,
             simulate_packed_batch,
@@ -331,20 +331,6 @@ def run_stats(
         return DispatchedRuns(
             runs=batch.to_stats(n_runs, W=pattern.W), tier=tier
         )
-
-    if tier is EngineTier.FAST_GENERAL:
-        from repro.simulation.fast_engine import run_monte_carlo_fast
-
-        rng = _tier_rng(seed, pattern, platform, fail_stop_in_operations)
-        runs = run_monte_carlo_fast(
-            pattern,
-            platform,
-            n_patterns=n_patterns,
-            n_runs=n_runs,
-            rng=rng,
-            fail_stop_in_operations=fail_stop_in_operations,
-        )
-        return DispatchedRuns(runs=runs, tier=tier)
 
     from repro.simulation.engine import PatternSimulator
 

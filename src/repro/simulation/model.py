@@ -1,10 +1,11 @@
 """Shared simulation semantics: schedule resolution and error sampling.
 
-Both pattern engines -- the step-by-step :class:`~repro.simulation.engine.
-PatternSimulator` and the vectorised :mod:`~repro.simulation.fast_engine`
-batch simulator -- implement the same paper semantics (Section 6.1).  This
-module is their single source of truth for everything that must not
-drift between them:
+Both general pattern engines -- the step-by-step :class:`~repro.simulation.
+engine.PatternSimulator` and the vectorised
+:mod:`~repro.simulation.packed_engine` batch simulator (the ``fast`` tier
+is a packed batch of one) -- implement the same paper semantics
+(Section 6.1).  This module is their single source of truth for
+everything that must not drift between them:
 
 * **schedule resolution**: a :class:`Pattern` plus a :class:`Platform`
   resolve into per-segment chunk lengths, verification costs and recalls

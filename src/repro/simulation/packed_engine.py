@@ -1,16 +1,35 @@
-"""Cross-point packed batch execution: heterogeneous patterns, one call.
+"""The vectorised Monte-Carlo engine: many pattern instances per NumPy pass.
 
-The fast engine (:mod:`repro.simulation.fast_engine`) vectorises *within*
-one (pattern, platform) point: a Monte-Carlo campaign of many scenario
-points still pays one engine call -- plus dispatch, schedule resolution
-and stats reduction -- per point.  This module removes that last per-point
-bottleneck: it packs instances from **many different points** into a
-single ragged struct-of-arrays mega-batch (per-row segment tables via
-offset gathers, per-row error rates and recovery costs, mask-based
-sub-setting instead of padding) and advances the entire sweep together.
-The total sweep count of a packed batch is the *maximum* over its points,
-not the sum -- the long per-point tails, where a handful of straggler
-instances keep a whole solo batch looping, overlap instead of serialising.
+The step-by-step engine (:class:`~repro.simulation.engine.PatternSimulator`)
+pays Python interpreter overhead for every simulated operation of every
+pattern instance.  This module simulates *thousands of independent
+pattern instances at once*, from one (pattern, platform) point or from
+many different points, as one ragged struct-of-arrays batch: per-row
+program counters, pending silent corruptions, elapsed times and
+counters; per-row segment tables via offset gathers, per-row error rates
+and recovery costs, mask-based sub-setting instead of padding.  The
+whole batch advances together, and its sweep count is the *maximum*
+over its points, not the sum: the long per-point tails, where a handful
+of straggler instances keep a batch looping, overlap instead of
+serialising.
+
+Semantics are the step engine's, for **any** pattern shape (n segments x
+m chunks, partial verifications with recall ``r``, guaranteed
+verifications, memory/disk checkpoints) and for **both**
+``fail_stop_in_operations`` settings, per job -- the property-based
+harness in ``tests/test_engine_equivalence.py`` asserts the statistical
+equivalence.  The flat operation schedule and detection probability
+come from :mod:`repro.simulation.model`, the single source of truth
+shared with the step engine, so the two cannot drift.
+
+Pattern instances are independent (the disk checkpoint ending each
+pattern makes progress permanent, and the Poisson error processes are
+memoryless), so a Monte-Carlo campaign of ``n_runs`` runs x
+``n_patterns`` patterns is one job of ``n_runs * n_patterns`` instances,
+reduced per run afterwards (:meth:`GeneralBatchResult.to_stats`).  The
+``fast`` engine tier is a packed batch of one job
+(:func:`repro.simulation.dispatch.run_stats`); the campaign planner and
+the daemon pack many points into one mega-batch.
 
 **Draw identity.**  Every packed job carries its own
 :class:`numpy.random.Generator` -- in the campaign planner, the exact
@@ -18,16 +37,17 @@ per-point generator the fast tier derives from the campaign seed and the
 point's configuration fingerprint (one ``SeedSequence`` child keyed by
 the point's content hash; see :func:`repro.simulation.dispatch.tier_rng`).
 Inside each sweep, every draw site consumes from the per-job generators
-in job order, with the same variate stream, count and instance order the
-fast engine would use for that job's state.  By induction the per-job
-state trajectories -- and therefore times, counters and
-:class:`GeneralBatchResult` reductions -- are **bit-identical** to solo
-:func:`~repro.simulation.fast_engine.simulate_general_batch` runs,
-whatever the packing: solo, pairs, or a whole campaign in one batch.
-``tests/test_packed_engine.py`` asserts exactly this, per point, for
-every layout.  Because results are draw-identical, packed execution does
-not change :data:`~repro.simulation.model.SEMANTICS_VERSION`: cache
-entries computed by the fast tier stay valid.
+in job order, each job's count and instance order depending only on
+that job's own state.  By induction the per-job state trajectories --
+and therefore times, counters and :class:`GeneralBatchResult`
+reductions -- are **bit-identical** whatever the packing: alone, in
+pairs, or a whole campaign in one batch.  The golden fixture
+``tests/golden/draw_identity_golden.json`` pins the batches of one job
+(SHA-256 digests of every per-instance array), and
+``tests/test_packed_engine.py`` asserts that every packing reproduces
+them.  Because results do not depend on the packing, a ``fast`` point
+and the same ``auto`` point inside a mega-batch share
+:data:`~repro.simulation.model.SEMANTICS_VERSION` and cache entries.
 
 **Sweep structure.**  The only per-job Python work in a sweep is one
 generator call per job and draw site, filling that job's slice of a
@@ -37,16 +57,17 @@ rows: the per-row schedule gathers, the exposure targets, the
 ``exponential(1 / rate)`` scaling (one multiply by a per-row scale
 vector), both next-event searches, the strike, detection and recovery
 outcomes, the counter updates and the disk-recovery retry rounds.  Two
-NumPy identities make this draw-identical (``tests/test_packed_engine.py``
-pins them, so a NumPy release that breaks one fails loudly):
+NumPy identities make each job's draws exactly its generator's
+``exponential(1 / rate, k)`` and ``random(k)`` streams
+(``tests/test_packed_engine.py`` pins them, so a NumPy release that
+breaks one fails loudly):
 
 * ``Generator.exponential(scale, n)`` is ``scale * standard_exponential``
   variate by variate, so filling standard variates and scaling them
-  afterwards reproduces the solo engine's ``exponential`` calls bit for
-  bit; likewise ``random(out=)`` equals ``random(n)``;
+  afterwards reproduces ``exponential`` calls bit for bit; likewise
+  ``random(out=)`` equals ``random(n)``;
 * the stream is consumed variate by variate, so the clean pass's one
-  fused ``2k`` fill per job (``[e_f | e_s]``) equals the solo engine's
-  two ``k``-draws.
+  fused ``2k`` fill per job (``[e_f | e_s]``) equals two ``k``-draws.
 
 The next-event searches use lexicographic ``(job, prefix)`` keys: complex
 numbers with the job index as real part and the exposure prefix as
@@ -57,30 +78,252 @@ of a per-job search.
 
 All per-row arithmetic gathers each row's *own* schedule values from
 concatenated tables (never offset-shifted copies), so no floating-point
-operation differs from the solo engine's.
+operation depends on the other jobs of the batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Union
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.pattern import Pattern
 from repro.platforms.platform import Platform
-from repro.simulation.fast_engine import (
-    GeneralBatchResult,
-    schedule_arrays,
-)
 from repro.simulation.model import (
     OP_COMPUTE,
     OP_DISK_CKPT,
     OP_MEM_CKPT,
     OP_VERIFY,
+    OpSchedule,
     detection_probability,
 )
-from repro.simulation.stats import COUNTER_FIELDS
+from repro.simulation.stats import COUNTER_FIELDS, SimulationStats
+
+
+@dataclass(frozen=True)
+class GeneralBatchResult:
+    """Result of a vectorised general-pattern batch.
+
+    Attributes
+    ----------
+    times:
+        Wall-clock time of each simulated pattern instance, shape ``(n,)``
+        (including all recoveries and re-executions).
+    counters:
+        Per-instance counter arrays (shape ``(n,)``, int64), keyed by the
+        :class:`~repro.simulation.stats.SimulationStats` counter field
+        names.
+    pattern_work:
+        Useful work ``W`` of one pattern instance.
+    """
+
+    times: np.ndarray
+    counters: Dict[str, np.ndarray]
+    pattern_work: float
+
+    @property
+    def n(self) -> int:
+        """Number of simulated pattern instances."""
+        return int(self.times.size)
+
+    def mean_time(self) -> float:
+        """Mean pattern execution time."""
+        return float(self.times.mean())
+
+    def overhead(self) -> float:
+        """Batch overhead ``mean(times) / W - 1``."""
+        return self.mean_time() / self.pattern_work - 1.0
+
+    def total(self, counter: str) -> int:
+        """Total of one counter across the batch."""
+        return int(self.counters[counter].sum())
+
+    def to_stats(self, n_runs: int = 1) -> List[SimulationStats]:
+        """Reduce the batch into ``n_runs`` equal-sized run statistics.
+
+        Instances ``[i * k, (i+1) * k)`` (``k = n / n_runs``) form run
+        ``i``, mirroring how the step engine's runner executes ``k``
+        consecutive patterns per run.
+        """
+        if n_runs <= 0:
+            raise ValueError(f"n_runs must be positive, got {n_runs}")
+        if self.n % n_runs != 0:
+            raise ValueError(
+                f"batch of {self.n} instances does not split into "
+                f"{n_runs} equal runs"
+            )
+        per_run = self.n // n_runs
+        # Row-wise sums over the (n_runs, per_run) views are bit-identical
+        # to per-slice 1-D sums (NumPy's pairwise reduction runs per output
+        # element over the same contiguous data), but cost one NumPy call
+        # per array instead of one per run.
+        run_times = self.times.reshape(n_runs, per_run).sum(axis=1)
+        run_counters = {
+            name: self.counters[name].reshape(n_runs, per_run).sum(axis=1)
+            for name in COUNTER_FIELDS
+        }
+        return [
+            SimulationStats(
+                total_time=float(run_times[i]),
+                useful_work=self.pattern_work * per_run,
+                patterns_completed=per_run,
+                **{
+                    name: int(run_counters[name][i])
+                    for name in COUNTER_FIELDS
+                },
+            )
+            for i in range(n_runs)
+        ]
+
+
+@dataclass(frozen=True)
+class ScheduleArrays:
+    """An :class:`OpSchedule` plus the prefix sums the batch engines use.
+
+    Index ``i`` of each prefix array covers the operations strictly
+    before ``i``: wall-clock duration (``P``), silent/compute exposure
+    (``Pc``), and completed partial-verification / guaranteed-
+    verification / memory-checkpoint counts.  The fail-stop exposure is
+    ``P`` when resilience operations are vulnerable and ``Pc``
+    otherwise -- a selection, not a third array.  All arrays are frozen.
+    """
+
+    sched: OpSchedule
+    P: np.ndarray
+    Pc: np.ndarray
+    n_partial_pre: np.ndarray
+    n_guar_pre: np.ndarray
+    n_mem_pre: np.ndarray
+
+
+def _prefix(values: np.ndarray) -> np.ndarray:
+    """Frozen exclusive prefix sum: ``out[i] = sum(values[:i])``.
+
+    ``np.add.accumulate`` is what ``np.cumsum`` runs for float64, without
+    its dispatch overhead.
+    """
+    out = np.zeros(values.size + 1, dtype=np.float64)
+    np.add.accumulate(values, out=out[1:])
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
+class _ScheduleTemplate:
+    """The ``W``-free part of a schedule, shared by every period.
+
+    ``base`` is the schedule at a placeholder period; only the durations
+    of its compute operations (at indices ``comp``) depend on ``W``.
+    Compute operation ``k`` is chunk fraction ``beta[k]`` of segment
+    ``seg[k]``, whose fraction of the pattern is ``alpha[seg[k]]``.
+    """
+
+    base: OpSchedule
+    comp: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    seg: np.ndarray
+    n_partial_pre: np.ndarray
+    n_guar_pre: np.ndarray
+    n_mem_pre: np.ndarray
+
+
+@lru_cache(maxsize=512)
+def _schedule_template(
+    alpha: Tuple[float, ...],
+    betas: Tuple[Tuple[float, ...], ...],
+    V: float,
+    V_star: float,
+    r: float,
+    C_M: float,
+    C_D: float,
+) -> _ScheduleTemplate:
+    from repro.platforms.platform import ResilienceCosts
+
+    costs = Platform(
+        name="<schedule>",
+        nodes=1,
+        lambda_f=0.0,
+        lambda_s=0.0,
+        costs=ResilienceCosts(
+            C_D=C_D, C_M=C_M, R_D=C_D, R_M=C_M, V_star=V_star, V=V, r=r
+        ),
+    )
+    base = OpSchedule.from_pattern(Pattern(1.0, alpha, betas), costs)
+    for arr in vars(base).values():
+        arr.setflags(write=False)
+    is_ver = base.kinds == OP_VERIFY
+    comp = np.flatnonzero(base.kinds == OP_COMPUTE)
+    return _ScheduleTemplate(
+        base=base,
+        comp=comp,
+        alpha=np.array(alpha, dtype=np.float64),
+        beta=np.array([b for bs in betas for b in bs], dtype=np.float64),
+        seg=base.segment_index[comp],
+        n_partial_pre=_prefix((is_ver & ~base.guaranteed).astype(np.float64)),
+        n_guar_pre=_prefix((is_ver & base.guaranteed).astype(np.float64)),
+        n_mem_pre=_prefix((base.kinds == OP_MEM_CKPT).astype(np.float64)),
+    )
+
+
+@lru_cache(maxsize=512)
+def _schedule_arrays_cached(
+    pattern: Pattern,
+    V: float,
+    V_star: float,
+    r: float,
+    C_M: float,
+    C_D: float,
+) -> ScheduleArrays:
+    tmpl = _schedule_template(
+        pattern.alpha, pattern.betas, V, V_star, r, C_M, C_D
+    )
+    base = tmpl.base
+    chunks = tmpl.beta * (tmpl.alpha * pattern.W)[tmpl.seg]
+    durations = base.durations.copy()
+    durations[tmpl.comp] = chunks
+    exposure = np.zeros(durations.size)
+    exposure[tmpl.comp] = chunks
+    P = _prefix(durations)
+    Pc = _prefix(exposure)
+    durations.setflags(write=False)
+    return ScheduleArrays(
+        sched=replace(base, durations=durations),
+        P=P,
+        Pc=Pc,
+        n_partial_pre=tmpl.n_partial_pre,
+        n_guar_pre=tmpl.n_guar_pre,
+        n_mem_pre=tmpl.n_mem_pre,
+    )
+
+
+def schedule_arrays(pattern: Pattern, platform: Platform) -> ScheduleArrays:
+    """Schedule + prefix sums for a (pattern, cost vector) pair.
+
+    The packed batch gathers every row's schedule values from these
+    frozen arrays.  Everything but ``W`` comes from a per-process
+    template memoised on the shape and the cost vector (``alpha``,
+    ``betas``, ``V``, ``V*``, ``r``, ``C_M``, ``C_D``), so a sweep over
+    error rates builds each shape's schedule once.  Per period, only the compute durations are
+    computed, as one vector ``beta * (alpha * W)[segment]`` -- the IEEE
+    operations of :attr:`~repro.core.pattern.Segment.chunk_lengths` --
+    followed by the ``P`` and ``Pc`` prefix sums.  The result equals
+    :meth:`OpSchedule.from_pattern` and its prefixes element for
+    element.  A second memo, keyed on the pattern itself (``W``
+    included), keeps a repeated configuration, such as a daemon's
+    catalog point, at one lookup per call.
+    """
+    return _schedule_arrays_cached(
+        pattern,
+        platform.V,
+        platform.V_star,
+        platform.r,
+        platform.C_M,
+        platform.C_D,
+    )
+
 
 #: Debug/telemetry snapshot of the most recent packed batch in this
 #: process: sweep count, peak rows, and cumulative clean/dirty row
@@ -88,8 +331,8 @@ from repro.simulation.stats import COUNTER_FIELDS
 #: and benchmarks use it to characterise workloads.
 last_batch_stats: dict = {}
 
-#: Version of the packed execution layer.  Draw identity with the fast
-#: tier is the packed engine's contract (asserted by the invariance test
+#: Version of the packed execution layer.  Draw identity across packings
+#: is the packed engine's contract (asserted by the invariance test
 #: suite), so this version does **not** participate in the cache keys of
 #: ``auto``/``fast`` points -- their entries are fast-tier entries.  It is
 #: carried only by explicitly ``engine="packed"`` points, whose keys are
@@ -105,8 +348,8 @@ class PackedJob:
     ----------
     pattern, platform:
         The simulation configuration (for starred families pass the
-        guaranteed-verification platform view, exactly as for the fast
-        engine).
+        guaranteed-verification platform view; see
+        :func:`repro.core.formulas.simulation_costs`).
     n_instances:
         Independent pattern instances this job contributes.
     rng:
@@ -159,15 +402,17 @@ class _Pack:
         )
         self.has_f = self.lf > 0.0
         self.has_s = self.ls > 0.0
-        # The solo engine's ``exponential(1.0 / rate)`` scales, per job.
+        # The ``exponential(1.0 / rate)`` scales, per job.
         # Zero-rate jobs draw nothing: their buffer slots stay +inf ("no
         # strike") and keep scale 1 so that the scaling leaves them so.
-        self.scale_f = np.divide(
-            1.0, self.lf, out=np.ones(J), where=self.has_f
-        )
-        self.scale_s = np.divide(
-            1.0, self.ls, out=np.ones(J), where=self.has_s
-        )
+        # Subnormal rates overflow the scale to inf, the same outcome.
+        with np.errstate(over="ignore"):
+            self.scale_f = np.divide(
+                1.0, self.lf, out=np.ones(J), where=self.has_f
+            )
+            self.scale_s = np.divide(
+                1.0, self.ls, out=np.ones(J), where=self.has_s
+            )
         # Memory recoveries draw only where a fail-stop strike can
         # escalate them; disk recoveries are flat costs where none can.
         self.mem_draw = self.vuln & self.has_f & (self.R_M > 0.0)
@@ -220,7 +465,7 @@ class _Pack:
 
         Job ``j`` owns ``rows[b[j] : b[j + 1]]``.  Rows are laid out
         contiguously per job, so a sorted subset keeps each job's
-        instances in solo order.
+        instances in the order they have in a batch of one.
         """
         return rows.searchsorted(self.row_off)
 
@@ -258,7 +503,7 @@ def _fill(
 
     The only per-job loop of a sweep: one generator call per job and
     draw site, in job order, each consuming the job's stream exactly as
-    the solo engine's call at that site does.
+    it would in a batch of one.
     """
     for j, s, e in zip(jobs.tolist(), starts.tolist(), stops.tolist()):
         fills[j](out=buf[s:e])
@@ -271,13 +516,16 @@ def _recover_packed(
     counters: dict,
     max_rounds: int,
 ) -> None:
-    """Disk recovery for rows ``ri`` (in site order), per-job draws.
+    """Disk recovery (``R_D`` then ``R_M``) for rows ``ri``, in site order.
 
-    Mirrors :func:`repro.simulation.fast_engine._recover_batch`: the
-    per-job subsequence of ``ri`` is exactly the solo recovery set in
-    solo order, the trivial (invulnerable / zero-rate) jobs take the
-    flat-cost path, and every retry round draws each job's variates from
-    its own generator in subsequence order.
+    The retry structure of Equations (30)-(31): a fault during the disk
+    step restarts that step; a fault during the memory step restarts the
+    whole recovery.  One disk recovery and one memory recovery are
+    counted per instance regardless of retries.  Jobs whose recovery
+    cannot be struck (resilience operations invulnerable, or a zero
+    fail-stop rate) pay the flat ``R_D + R_M``.  Every retry round draws
+    each job's variates from its own generator, in the order of the
+    job's rows in ``ri``.  Mutates ``times`` and ``counters`` in place.
     """
     trivial = pack.flat_recovery[pack.row_job[ri]]
     tidx = ri[trivial]
@@ -328,19 +576,27 @@ def simulate_packed_batch(
     """Simulate many heterogeneous points in one vectorised mega-batch.
 
     Returns one :class:`GeneralBatchResult` per job, in job order, each
-    bit-identical to what ``simulate_general_batch(job.pattern,
-    job.platform, job.n_instances, job.rng, fail_stop_in_operations=
-    job.fail_stop_in_operations)`` would produce with the same generator
-    state.
+    bit-identical to the job's batch of one with the same generator
+    state, whatever else the batch holds.  Instances with no pending
+    corruption jump straight to their next stochastic event -- the first
+    fail-stop strike, the first silent strike, or the end of the pattern
+    -- in one ``searchsorted`` over the schedule's exposure prefix sums
+    (exact by memorylessness: redrawing the time-to-next-error per
+    operation, as the step engine does, is distributionally identical to
+    one draw against the concatenated exposure).  Instances carrying a
+    pending corruption advance one operation per pass, because every
+    verification they meet is a fresh Bernoulli detection trial.
 
     Parameters
     ----------
     jobs:
         The points to pack.  Each must carry a private generator.
     max_sweeps:
-        Safety bound on NumPy passes over the mega-batch (the packed
-        sweep count is the maximum of the per-job counts, so the solo
-        bound applies unchanged).
+        Safety bound on NumPy passes over the batch (each pass advances
+        every running instance by at least one operation; the sweep
+        count is the maximum of the per-job counts, so the bound does
+        not depend on the packing).  Exceeding it indicates a pattern
+        absurdly long for its platform MTBF.
     """
     jobs = list(jobs)
     if not jobs:
@@ -348,7 +604,7 @@ def simulate_packed_batch(
     if len({id(job.rng) for job in jobs}) != len(jobs):
         raise ValueError(
             "packed jobs must carry distinct generator objects; sharing "
-            "one stream between jobs breaks draw identity with solo runs"
+            "one stream between jobs breaks draw identity across packings"
         )
     pack = _Pack(jobs)
     N = pack.n_rows
@@ -438,9 +694,10 @@ def simulate_packed_batch(
             # crashes, the struck compute + 1 for silent strikes, and the
             # schedule end for error-free finishes -- and crashes add the
             # partial crash-op time on top.  Per row this evaluates
-            # exactly the solo engine's expressions (the crash extra term
-            # is +0.0 elsewhere, and all span increments are
-            # non-negative, so adding it is bit-neutral).
+            # exactly the per-outcome expressions P[b] - P[a] (+ the
+            # crash-op remainder): the crash extra term is +0.0
+            # elsewhere, and all span increments are non-negative, so
+            # adding it is bit-neutral.
             b_end = np.where(crash, b_f, np.where(strike, b_s + 1, n_ops_c))
             gb = row_pre + b_end
             extra = np.where(crash, target_v - pack.Pv_cat[gb], 0.0)

@@ -9,7 +9,8 @@ for paper-scale replication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 from repro.core.builders import PatternKind
 from repro.core.formulas import OptimalPattern, optimal_pattern, simulation_costs
@@ -17,7 +18,11 @@ from repro.core.pattern import Pattern
 from repro.errors.rng import SeedLike
 from repro.platforms.platform import Platform
 from repro.simulation.dispatch import run_stats
-from repro.simulation.stats import AggregatedStats, aggregate_stats
+from repro.simulation.stats import (
+    AggregatedStats,
+    SimulationStats,
+    aggregate_stats,
+)
 
 
 @dataclass(frozen=True)
@@ -32,8 +37,8 @@ class MonteCarloResult:
         The platform (with the verification costs actually charged).
     n_patterns, n_runs:
         Campaign size.
-    aggregated:
-        Averaged counters, rates and overhead across runs.
+    runs:
+        The per-run statistics, in run order.
     predicted_overhead:
         First-order model prediction to compare against, when available.
     """
@@ -42,9 +47,14 @@ class MonteCarloResult:
     platform: Platform
     n_patterns: int
     n_runs: int
-    aggregated: AggregatedStats
+    runs: Tuple[SimulationStats, ...]
     predicted_overhead: Optional[float] = None
     engine: Optional[str] = None
+
+    @cached_property
+    def aggregated(self) -> AggregatedStats:
+        """Averaged counters, rates and overhead across runs."""
+        return aggregate_stats(self.runs)
 
     @property
     def simulated_overhead(self) -> float:
@@ -94,7 +104,7 @@ def run_monte_carlo(
         platform=platform,
         n_patterns=n_patterns,
         n_runs=n_runs,
-        aggregated=aggregate_stats(dispatched.runs),
+        runs=tuple(dispatched.runs),
         predicted_overhead=predicted_overhead,
         engine=dispatched.tier.value,
     )

@@ -33,9 +33,6 @@ COUNTER_FIELDS = (
     "silent_detections_guaranteed",
 )
 
-#: Backwards-compatible alias.
-_COUNTER_FIELDS = COUNTER_FIELDS
-
 
 @dataclass
 class SimulationStats:

@@ -565,19 +565,18 @@ def batch_digest(result) -> Dict[str, Any]:
 
 
 def compute_draw_identity_golden() -> Dict[str, Dict[str, Any]]:
-    """The fast tier's solo batch of every draw-identity case."""
-    from repro.simulation.fast_engine import simulate_general_batch
+    """The fast tier's solo batch (a packed batch of one) of every case."""
+    from repro.simulation.packed_engine import PackedJob, simulate_packed_batch
 
-    return {
-        name: batch_digest(
-            simulate_general_batch(
-                pattern, platform, n, np.random.default_rng(seed),
-                fail_stop_in_operations=fs,
-            )
+    out = {}
+    for name, case in draw_identity_cases().items():
+        pattern, platform, n, seed, fs = case
+        job = PackedJob(
+            pattern, platform, n, np.random.default_rng(seed),
+            fail_stop_in_operations=fs,
         )
-        for name, (pattern, platform, n, seed, fs)
-        in draw_identity_cases().items()
-    }
+        (out[name],) = map(batch_digest, simulate_packed_batch([job]))
+    return out
 
 
 def write_draw_identity_golden() -> str:

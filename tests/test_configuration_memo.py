@@ -29,7 +29,7 @@ from repro.campaign.spec import ScenarioPoint, _configuration, platform_to_dict
 from repro.core.builders import PATTERN_ORDER, PatternKind, build_pattern
 from repro.platforms.catalog import get_platform
 from repro.service.protocol import ProtocolError, point_from_request
-from repro.simulation import dispatch, fast_engine
+from repro.simulation import dispatch, packed_engine
 
 MEMO_SIZE = 4096
 PLATFORMS = ("hera", "atlas", "coastal")
@@ -42,8 +42,8 @@ KINDS = [kind.value for kind in PATTERN_ORDER][:5]
 #: 3.11 with NumPy 2.4.
 SHAPE_MEMOS = {
     "unit_pattern": (formulas._unit_pattern, 4096, 12),
-    "schedule_template": (fast_engine._schedule_template, 512, 12),
-    "schedule_arrays": (fast_engine._schedule_arrays_cached, 512, 4),
+    "schedule_template": (packed_engine._schedule_template, 512, 12),
+    "schedule_arrays": (packed_engine._schedule_arrays_cached, 512, 4),
     "config_entropy": (dispatch._config_entropy_cached, 4096, 2),
     "shape_repr": (dispatch._shape_repr, 1024, 6),
 }
@@ -196,7 +196,7 @@ def _overflow_shape_memos():
     for i in range(SHAPE_MEMOS["unit_pattern"][1] + 8):
         formulas._unit_pattern(PatternKind.PD, 1, 1, 0.5 + 1e-7 * i)
     for i in range(SHAPE_MEMOS["schedule_template"][1] + 8):
-        fast_engine.schedule_arrays(
+        packed_engine.schedule_arrays(
             pd.rescaled(1.0 + i), hera.with_costs(C_D=1.0 + i)
         )
     for i in range(SHAPE_MEMOS["config_entropy"][1] + 8):
@@ -247,11 +247,11 @@ class TestShapeMemos:
                 PatternKind.PDMV, 1 + i % 8, 1 + (i // 8) % 24,
                 0.5 + 1e-6 * i,
             ),
-            "schedule_template": lambda i: fast_engine._schedule_template(
+            "schedule_template": lambda i: packed_engine._schedule_template(
                 big.alpha, big.betas, hera.V, hera.V_star, hera.r,
                 hera.C_M, hera.C_D + i,
             ),
-            "schedule_arrays": lambda i: fast_engine.schedule_arrays(
+            "schedule_arrays": lambda i: packed_engine.schedule_arrays(
                 big.rescaled(1e3 + i), hera
             ),
             "config_entropy": lambda i: dispatch._config_entropy(

@@ -3,8 +3,9 @@
 For hypothesis-generated random patterns and platforms, the vectorised
 engines must be statistically indistinguishable from the step engine:
 
-* the fast engine's mean pattern time falls inside a z-interval around
-  the step engine's Monte-Carlo estimate (both fail-stop settings);
+* the packed engine's mean pattern time (a batch of one job: the fast
+  tier) falls inside a z-interval around the step engine's Monte-Carlo
+  estimate (both fail-stop settings);
 * per-pattern error counts (fail-stop and silent strikes) agree the same
   way;
 * where the exact recursion of :mod:`repro.core.exact` applies
@@ -27,14 +28,24 @@ from repro.core.exact import exact_expected_time
 from repro.core.pattern import Pattern
 from repro.platforms.platform import Platform, default_costs
 from repro.simulation.engine import PatternSimulator
-from repro.simulation.fast_engine import simulate_general_batch
 from repro.simulation.fast_pd import simulate_pd_batch
+from repro.simulation.packed_engine import PackedJob, simulate_packed_batch
 
 #: Acceptance band in combined standard errors (see module docstring).
 Z_TOL = 5.0
 
 N_FAST = 4_000
 N_STEP = 400
+
+
+def _packed_batch(pattern, platform, seed, fail_stop_in_operations):
+    """``N_FAST`` instances on the packed engine, one job per batch."""
+    job = PackedJob(
+        pattern, platform, N_FAST, np.random.default_rng(seed),
+        fail_stop_in_operations=fail_stop_in_operations,
+    )
+    (batch,) = simulate_packed_batch([job])
+    return batch
 
 
 @st.composite
@@ -123,13 +134,7 @@ def _assert_z_close(a: np.ndarray, b: np.ndarray, what: str) -> None:
 @given(pattern=patterns(), platform=platforms())
 def test_fast_engine_matches_step_engine(pattern, platform, fsio):
     """Mean time and error counts agree across the two general engines."""
-    batch = simulate_general_batch(
-        pattern,
-        platform,
-        N_FAST,
-        np.random.default_rng(101),
-        fail_stop_in_operations=fsio,
-    )
+    batch = _packed_batch(pattern, platform, 101, fsio)
     times, fs, silent = _step_batch_times(pattern, platform, fsio, 202)
     _assert_z_close(batch.times, times, "mean pattern time")
     _assert_z_close(
@@ -149,13 +154,7 @@ def test_fast_engine_matches_step_engine(pattern, platform, fsio):
 def test_fast_engine_matches_exact_recursion(pattern, platform):
     """Where the exact recursion applies (error-free resilience ops),
     the vectorised mean agrees with the closed-form expectation."""
-    batch = simulate_general_batch(
-        pattern,
-        platform,
-        N_FAST,
-        np.random.default_rng(303),
-        fail_stop_in_operations=False,
-    )
+    batch = _packed_batch(pattern, platform, 303, False)
     E = exact_expected_time(pattern, platform)
     sem = batch.times.std(ddof=1) / np.sqrt(batch.n)
     assert abs(batch.mean_time() - E) <= Z_TOL * sem + 1e-9 * max(1.0, E)
@@ -173,13 +172,7 @@ def test_fast_pd_matches_fast_engine_and_exact(W, platform):
     pd_batch = simulate_pd_batch(
         W, platform, N_FAST, np.random.default_rng(404)
     )
-    gen_batch = simulate_general_batch(
-        pat,
-        platform,
-        N_FAST,
-        np.random.default_rng(505),
-        fail_stop_in_operations=False,
-    )
+    gen_batch = _packed_batch(pat, platform, 505, False)
     _assert_z_close(pd_batch.times, gen_batch.times, "PD mean time")
     _assert_z_close(
         pd_batch.crashes.astype(float),
@@ -203,13 +196,7 @@ def test_full_counter_distributions_agree(pattern, platform, fsio):
     """Every SimulationStats counter mean agrees between the tiers."""
     from repro.simulation.stats import COUNTER_FIELDS, SimulationStats
 
-    batch = simulate_general_batch(
-        pattern,
-        platform,
-        N_FAST,
-        np.random.default_rng(606),
-        fail_stop_in_operations=fsio,
-    )
+    batch = _packed_batch(pattern, platform, 606, fsio)
     sim = PatternSimulator(
         pattern, platform, fail_stop_in_operations=fsio
     )

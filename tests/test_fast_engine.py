@@ -1,4 +1,11 @@
-"""Unit tests for the vectorised general-pattern batch engine."""
+"""Unit tests for the fast tier: a packed batch of one job.
+
+The ``fast`` engine tier runs one point as a packed batch holding that
+point alone (:func:`~repro.simulation.packed_engine.simulate_packed_batch`
+with one :class:`~repro.simulation.packed_engine.PackedJob`); per-run
+statistics come from :func:`~repro.simulation.dispatch.run_stats` with
+``engine="fast"``.
+"""
 
 import numpy as np
 import pytest
@@ -6,18 +13,32 @@ import pytest
 from repro.core.builders import PatternKind, build_pattern, pattern_pd
 from repro.core.exact import exact_expected_time
 from repro.platforms.platform import Platform, default_costs
+from repro.simulation.dispatch import EngineTier, run_stats
 from repro.simulation.engine import PatternSimulator
-from repro.simulation.fast_engine import (
-    GeneralBatchResult,
-    run_monte_carlo_fast,
-    simulate_general_batch,
-)
 from repro.simulation.model import OpSchedule
+from repro.simulation.packed_engine import (
+    GeneralBatchResult,
+    PackedJob,
+    simulate_packed_batch,
+)
 from repro.simulation.stats import COUNTER_FIELDS
 
 
 def _pdmv(W=600.0, n=3, m=4, r=0.8):
     return build_pattern(PatternKind.PDMV, W, n=n, m=m, r=r)
+
+
+def _solo_batch(
+    pattern, platform, n_instances, rng, *,
+    fail_stop_in_operations=True, max_sweeps=1_000_000,
+):
+    """The fast tier's batch of ``n_instances``: a packed batch of one."""
+    job = PackedJob(
+        pattern, platform, n_instances, rng,
+        fail_stop_in_operations=fail_stop_in_operations,
+    )
+    (res,) = simulate_packed_batch([job], max_sweeps=max_sweeps)
+    return res
 
 
 class TestOpSchedule:
@@ -56,10 +77,12 @@ class TestOpSchedule:
 
 
 class TestSimulateGeneralBatch:
+    """The batch engine itself, one job per batch."""
+
     def test_error_free_exact(self, tiny_platform, rng):
         quiet = tiny_platform.with_rates(0.0, 0.0)
         pat = _pdmv(r=quiet.r)
-        res = simulate_general_batch(pat, quiet, 64, rng)
+        res = _solo_batch(pat, quiet, 64, rng)
         expected = pat.error_free_time(
             V=quiet.V, V_star=quiet.V_star, C_M=quiet.C_M, C_D=quiet.C_D
         )
@@ -78,7 +101,7 @@ class TestSimulateGeneralBatch:
 
     def test_mean_matches_exact_recursion(self, tiny_platform):
         pat = _pdmv(W=1500.0, r=tiny_platform.r)
-        res = simulate_general_batch(
+        res = _solo_batch(
             pat,
             tiny_platform,
             40_000,
@@ -91,7 +114,7 @@ class TestSimulateGeneralBatch:
     @pytest.mark.parametrize("fsio", [True, False])
     def test_agrees_with_step_engine(self, tiny_platform, fsio):
         pat = _pdmv(W=1000.0, r=tiny_platform.r)
-        batch = simulate_general_batch(
+        batch = _solo_batch(
             pat,
             tiny_platform,
             20_000,
@@ -106,10 +129,10 @@ class TestSimulateGeneralBatch:
 
     def test_deterministic_given_seed(self, tiny_platform):
         pat = _pdmv()
-        a = simulate_general_batch(
+        a = _solo_batch(
             pat, tiny_platform, 200, np.random.default_rng(7)
         )
-        b = simulate_general_batch(
+        b = _solo_batch(
             pat, tiny_platform, 200, np.random.default_rng(7)
         )
         np.testing.assert_array_equal(a.times, b.times)
@@ -124,7 +147,7 @@ class TestSimulateGeneralBatch:
             name="s", nodes=1, lambda_f=0.0, lambda_s=ls,
             costs=default_costs(C_D=10.0, C_M=1.0),
         )
-        res = simulate_general_batch(pattern_pd(W), plat, 40_000, rng)
+        res = _solo_batch(pattern_pd(W), plat, 40_000, rng)
         p = 1.0 - np.exp(-ls * W)
         assert res.total("silent_errors") / res.n == pytest.approx(
             p / (1 - p), rel=0.05
@@ -141,7 +164,7 @@ class TestSimulateGeneralBatch:
             name="f", nodes=1, lambda_f=lf, lambda_s=0.0,
             costs=default_costs(C_D=10.0, C_M=1.0),
         )
-        res = simulate_general_batch(
+        res = _solo_batch(
             pattern_pd(W), plat, 40_000, rng, fail_stop_in_operations=False
         )
         p = 1.0 - np.exp(-lf * W)
@@ -153,7 +176,7 @@ class TestSimulateGeneralBatch:
 
     def test_validation(self, tiny_platform, rng):
         with pytest.raises(ValueError):
-            simulate_general_batch(pattern_pd(10.0), tiny_platform, 0, rng)
+            _solo_batch(pattern_pd(10.0), tiny_platform, 0, rng)
 
     def test_runaway_guard(self, rng):
         hot = Platform(
@@ -161,7 +184,7 @@ class TestSimulateGeneralBatch:
             costs=default_costs(C_D=0.1, C_M=0.1),
         )
         with pytest.raises(RuntimeError, match="sweeps"):
-            simulate_general_batch(
+            _solo_batch(
                 pattern_pd(1000.0), hot, 4, rng, max_sweeps=50
             )
 
@@ -203,26 +226,30 @@ class TestGeneralBatchResult:
 
 
 class TestRunMonteCarloFast:
+    """Per-run statistics of the fast tier, through ``run_stats``."""
+
     def test_shape(self, tiny_platform):
-        runs = run_monte_carlo_fast(
+        dispatched = run_stats(
             pattern_pd(300.0),
             tiny_platform,
             n_patterns=5,
             n_runs=4,
-            rng=np.random.default_rng(3),
+            seed=3,
+            engine="fast",
         )
+        assert dispatched.tier is EngineTier.FAST_GENERAL
+        runs = dispatched.runs
         assert len(runs) == 4
         assert all(r.patterns_completed == 5 for r in runs)
 
     def test_validation(self, tiny_platform):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            run_monte_carlo_fast(
+            run_stats(
                 pattern_pd(10.0), tiny_platform,
-                n_patterns=0, n_runs=1, rng=rng,
+                n_patterns=0, n_runs=1, seed=0, engine="fast",
             )
         with pytest.raises(ValueError):
-            run_monte_carlo_fast(
+            run_stats(
                 pattern_pd(10.0), tiny_platform,
-                n_patterns=1, n_runs=0, rng=rng,
+                n_patterns=1, n_runs=0, seed=0, engine="fast",
             )

@@ -20,7 +20,7 @@ from repro.core.builders import PatternKind, build_pattern
 from repro.core.firstorder import decompose_overhead
 from repro.platforms.platform import Platform, ResilienceCosts
 from repro.simulation.dispatch import _config_entropy
-from repro.simulation.fast_engine import schedule_arrays
+from repro.simulation.packed_engine import schedule_arrays
 from repro.simulation.model import OpSchedule
 from test_prop_patterns import arbitrary_patterns
 
