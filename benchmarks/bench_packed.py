@@ -9,8 +9,9 @@ Measures the packed execution layer end to end on a cold-cache
   same campaign forced down the per-point fast tier, both cold-cache,
   single worker, identical records (the planner's invisibility
   contract is asserted on every row);
-* **engine-core**: one packed mega-batch vs the per-point
-  ``simulate_general_batch`` loop for the same 256 configurations.
+* **engine-core**: one packed mega-batch vs a loop of one-job packed
+  batches (the fast tier's engine call) for the same 256
+  configurations.
 
 The observed ratios on the development box are ~**3.3-3.7x end-to-end**
 and ~**4.3-4.7x engine-core**.  The issue that motivated this layer
@@ -45,7 +46,6 @@ from repro.campaign.spec import ScenarioPoint, platform_to_dict
 from repro.core.builders import PATTERN_ORDER
 from repro.platforms.scaling import weak_scaling_platform
 from repro.simulation.dispatch import tier_rng
-from repro.simulation.fast_engine import simulate_general_batch
 from repro.simulation.packed_engine import (
     PackedJob,
     last_batch_stats,
@@ -161,10 +161,12 @@ def test_packed_campaign_end_to_end(tmp_path, once):
 
     def solo_engine():
         for p, opt, sim_plat in metas:
-            simulate_general_batch(
-                opt.pattern, sim_plat, n_inst,
-                tier_rng(p.seed, opt.pattern, sim_plat, True),
-            )
+            simulate_packed_batch([
+                PackedJob(
+                    opt.pattern, sim_plat, n_inst,
+                    tier_rng(p.seed, opt.pattern, sim_plat, True),
+                )
+            ])
 
     t_solo_engine, _ = _time(solo_engine)
     jobs = [
