@@ -137,7 +137,7 @@ def _model_record(
 def _packed_mc_fields_batch(
     group: "List[Tuple[ScenarioPoint, str, float]]",
     results: "List[Any]",
-    useful: "List[Sequence[float]]",
+    useful: "Sequence[float]",
 ) -> List[Dict[str, Any]]:
     """Monte-Carlo record fields for a uniform-shape group of points.
 
@@ -148,8 +148,8 @@ def _packed_mc_fields_batch(
     ``times`` and ``counters`` carry ``k`` consecutive values per run:
     ``k = n_patterns`` for a packed batch's instances, ``k = 1`` for
     values already summed per run (:func:`evaluate_point`).  ``useful``
-    holds per point the useful work of each run, or one value shared by
-    all its runs.
+    is the useful work of each run, point by point, or one value per
+    point that all its runs share.
 
     Row-wise reshape sums over a ``(points * runs, k)`` matrix are
     bit-identical to per-slice sums (``GeneralBatchResult.to_stats``),
@@ -179,7 +179,7 @@ def _packed_mc_fields_batch(
         ).reshape(G, R)
 
     run_times = runs_2d([res.times for res in results])
-    useful = np.array(useful)
+    useful = np.array(useful).reshape(G, -1)
 
     def counters_2d(name: str) -> "np.ndarray":
         return runs_2d(
@@ -277,7 +277,7 @@ def evaluate_point(point: ScenarioPoint) -> Dict[str, Any]:
     # the step engine accumulates its useful work, so it is taken per
     # run rather than recomputed.
     runs = res.runs
-    per_run = GeneralBatchResult(
+    run_values = GeneralBatchResult(
         times=np.array([run.total_time for run in runs]),
         counters={
             name: np.array([getattr(run, name) for run in runs])
@@ -287,8 +287,8 @@ def evaluate_point(point: ScenarioPoint) -> Dict[str, Any]:
     )
     (fields,) = _packed_mc_fields_batch(
         [(point, res.engine, res.predicted_overhead)],
-        [per_run],
-        [[run.useful_work for run in runs]],
+        [run_values],
+        [run.useful_work for run in runs],
     )
     record.update(fields)
     return record
@@ -398,8 +398,7 @@ def evaluate_points(
             mc_fields = _packed_mc_fields_batch(
                 group,
                 [results[pos] for pos in positions],
-                [[results[pos].pattern_work * per_run]
-                 for pos in positions],
+                [results[pos].pattern_work * per_run for pos in positions],
             )
             for pos, fields in zip(positions, mc_fields):
                 i, config, _ = packed_meta[pos]
