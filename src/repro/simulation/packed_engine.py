@@ -405,14 +405,12 @@ class _Pack:
         # The ``exponential(1.0 / rate)`` scales, per job.
         # Zero-rate jobs draw nothing: their buffer slots stay +inf ("no
         # strike") and keep scale 1 so that the scaling leaves them so.
-        # Subnormal rates overflow the scale to inf, the same outcome.
-        with np.errstate(over="ignore"):
-            self.scale_f = np.divide(
-                1.0, self.lf, out=np.ones(J), where=self.has_f
-            )
-            self.scale_s = np.divide(
-                1.0, self.ls, out=np.ones(J), where=self.has_s
-            )
+        self.scale_f = np.divide(
+            1.0, self.lf, out=np.ones(J), where=self.has_f
+        )
+        self.scale_s = np.divide(
+            1.0, self.ls, out=np.ones(J), where=self.has_s
+        )
         # Memory recoveries draw only where a fail-stop strike can
         # escalate them; disk recoveries are flat costs where none can.
         self.mem_draw = self.vuln & self.has_f & (self.R_M > 0.0)
