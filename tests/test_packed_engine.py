@@ -18,10 +18,8 @@ import numpy as np
 import pytest
 
 from golden_util import (
-    DRAW_SEED as SEED,
     batch_digest,
     draw_identity_cases,
-    draw_identity_configs,
     load_draw_identity_golden,
 )
 from repro.campaign.planner import plan_packs
@@ -43,6 +41,8 @@ from repro.simulation.packed_engine import (
 )
 
 GOLDEN = load_draw_identity_golden()
+CASES = draw_identity_cases()
+SOLO = [name for name in CASES if name.startswith("solo/")]
 
 
 def _optimised(kind: PatternKind, platform: Platform, fs: bool = True):
@@ -50,38 +50,14 @@ def _optimised(kind: PatternKind, platform: Platform, fs: bool = True):
     return opt.pattern, simulation_costs(kind, platform), fs
 
 
-@pytest.fixture(scope="module")
-def config_matrix():
-    """Heterogeneous (pattern, platform, fail_stop) configurations."""
-    return draw_identity_configs()
-
-
-def _jobs(config_matrix, indices):
+def _jobs(names):
+    """Fresh jobs for the named golden cases, in the given order."""
     return [
-        PackedJob(
-            config_matrix[i][0],
-            config_matrix[i][1],
-            200 + 40 * i,
-            np.random.default_rng([SEED, i]),
-            fail_stop_in_operations=config_matrix[i][2],
-        )
-        for i in indices
-    ]
-
-
-def _case_jobs(group):
-    """Fresh jobs for every golden case of ``group``, in case order."""
-    cases = draw_identity_cases()
-    names = sorted(
-        (n for n in cases if n.split("/")[0] == group),
-        key=lambda n: int(n.split("/")[1]),
-    )
-    return names, [
         PackedJob(
             pattern, platform, n, np.random.default_rng(seed),
             fail_stop_in_operations=fs,
         )
-        for pattern, platform, n, seed, fs in map(cases.get, names)
+        for pattern, platform, n, seed, fs in map(CASES.get, names)
     ]
 
 
@@ -108,31 +84,25 @@ def _assert_golden(name, packed):
     ],
     ids=["singletons", "pairs", "mega", "shuffled", "uneven"],
 )
-def test_packed_is_bit_identical_to_solo_for_every_packing(
-    config_matrix, grouping
-):
+def test_packed_is_bit_identical_to_solo_for_every_packing(grouping):
     results = {}
     for group in grouping:
-        for i, res in zip(group, simulate_packed_batch(
-            _jobs(config_matrix, group)
-        )):
-            results[i] = res
-    assert sorted(results) == list(range(len(config_matrix)))
-    for i, res in results.items():
-        _assert_golden(f"solo/{i}", res)
+        names = [SOLO[i] for i in group]
+        results.update(zip(names, simulate_packed_batch(_jobs(names))))
+    assert sorted(results) == sorted(SOLO)
+    for name, res in results.items():
+        _assert_golden(name, res)
 
 
-def test_packed_to_stats_matches_solo(config_matrix):
-    (packed,) = simulate_packed_batch(_jobs(config_matrix, [0]))
-    _assert_golden("solo/0", packed)
-    mega = simulate_packed_batch(
-        _jobs(config_matrix, range(len(config_matrix)))
-    )
+def test_packed_to_stats_matches_solo():
+    (packed,) = simulate_packed_batch(_jobs(SOLO[:1]))
+    _assert_golden(SOLO[0], packed)
+    mega = simulate_packed_batch(_jobs(SOLO))
     assert packed.to_stats(4) == mega[0].to_stats(4)
 
 
-def test_shared_generator_between_jobs_is_rejected(config_matrix):
-    pattern, platform, fs = config_matrix[0]
+def test_shared_generator_between_jobs_is_rejected():
+    pattern, platform, _, _, fs = CASES[SOLO[0]]
     rng = np.random.default_rng(1)
     jobs = [
         PackedJob(pattern, platform, 10, rng, fail_stop_in_operations=fs),
@@ -149,8 +119,8 @@ def test_empty_batch_and_invalid_jobs():
         PackedJob(pattern, platform, 0, np.random.default_rng(0))
 
 
-def test_last_batch_stats_populated(config_matrix):
-    simulate_packed_batch(_jobs(config_matrix, [0, 1]))
+def test_last_batch_stats_populated():
+    simulate_packed_batch(_jobs(SOLO[:2]))
     assert last_batch_stats["n_jobs"] == 2
     assert last_batch_stats["n_rows"] == 200 + 240
     assert last_batch_stats["sweeps"] >= 1
@@ -224,7 +194,8 @@ def test_packed_version_is_an_int():
 
 def test_mixed_fail_stop_settings_in_one_pack():
     """Rows with different fail-stop settings coexist in one batch."""
-    names, jobs = _case_jobs("mixed")
+    names = [name for name in CASES if name.startswith("mixed/")]
+    jobs = _jobs(names)
     assert [job.fail_stop_in_operations for job in jobs] == [True, False]
     for name, packed in zip(names, simulate_packed_batch(jobs)):
         _assert_golden(name, packed)
@@ -237,8 +208,8 @@ def test_stressed_rates_are_bit_identical_to_solo():
     rate or both off); at these rates disk recoveries are themselves
     struck, so the retry rounds run with several jobs at once.
     """
-    names, jobs = _case_jobs("stressed")
-    packed = simulate_packed_batch(jobs)
+    names = [name for name in CASES if name.startswith("stressed/")]
+    packed = simulate_packed_batch(_jobs(names))
     for name, res in zip(names, packed):
         _assert_golden(name, res)
     fail_stops = sum(int(p.counters["fail_stop_errors"].sum()) for p in packed)
