@@ -306,10 +306,11 @@ def schedule_arrays(pattern: Pattern, platform: Platform) -> ScheduleArrays:
     frozen arrays.  Everything but ``W`` comes from a per-process
     template memoised on the shape and the cost vector (``alpha``,
     ``betas``, ``V``, ``V*``, ``r``, ``C_M``, ``C_D``), so a sweep over
-    error rates builds each shape's schedule once.  Per period, only the compute durations are
-    computed, as one vector ``beta * (alpha * W)[segment]`` -- the IEEE
-    operations of :attr:`~repro.core.pattern.Segment.chunk_lengths` --
-    followed by the ``P`` and ``Pc`` prefix sums.  The result equals
+    error rates builds each shape's schedule once.  Per period, only the
+    compute durations are computed, as one vector
+    ``beta * (alpha * W)[segment]`` -- the IEEE operations of
+    :attr:`~repro.core.pattern.Segment.chunk_lengths` -- followed by the
+    ``P`` and ``Pc`` prefix sums.  The result equals
     :meth:`OpSchedule.from_pattern` and its prefixes element for
     element.  A second memo, keyed on the pattern itself (``W``
     included), keeps a repeated configuration, such as a daemon's
