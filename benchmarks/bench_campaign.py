@@ -17,9 +17,9 @@ import pytest
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import available_cpus, run_campaign
+from repro.campaign.pool import EvalFleet
 from repro.campaign.spec import CampaignSpec, ScenarioPoint, platform_to_dict
 from repro.platforms.platform import Platform, default_costs
-from repro.service.fleet import EvalFleet
 
 
 @pytest.fixture

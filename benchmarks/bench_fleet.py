@@ -2,7 +2,7 @@
 
 Three gates, two of them unconditional:
 
-* **Bit-identity** (always): :class:`repro.service.fleet.EvalFleet`
+* **Bit-identity** (always): :class:`repro.campaign.pool.EvalFleet`
   records under 1 / 2 / 4 workers are field-by-field identical to solo
   :func:`repro.campaign.executor.evaluate_point` runs -- ``tier_rng``'s
   placement invariance makes the worker count invisible in results.
@@ -36,9 +36,9 @@ from repro.campaign.executor import (
     evaluate_point,
     evaluate_points,
 )
+from repro.campaign.pool import EvalFleet
 from repro.loadgen.replay import WorkloadReplayer
 from repro.loadgen.traces import TraceEvent
-from repro.service.fleet import EvalFleet
 from repro.service.protocol import point_from_request
 from repro.service.server import BackgroundService
 

@@ -14,7 +14,7 @@ The executor turns a list of scenario points into result records:
    per worker) -- many small scenario points per task, amortising the
    per-task submission overhead that a one-future-per-point pool pays;
 4. each bucket is one :func:`evaluate_points` call, in-process or, with
-   several workers, on the same :class:`~repro.service.fleet.EvalFleet`
+   several workers, on the same :class:`~repro.campaign.pool.EvalFleet`
    process pool the daemon uses.  One such pool per process serves
    campaigns one at a time: the first multi-worker campaign forks it,
    later ones reuse it warm (a bigger worker count forks a bigger one),
@@ -26,7 +26,7 @@ The executor turns a list of scenario points into result records:
    too: a worker killed mid-run (OOM, segfault) costs a pool rebuild
    and a bit-identical re-run of the unfinished buckets, and a point
    that keeps killing workers is bisected out and ends the run with
-   :class:`~repro.service.faults.PoisonPointError`, every other
+   :class:`~repro.campaign.pool.PoisonPointError`, every other
    finished point already journaled; the pool that convicted it keeps
    refusing it for as long as it stays resident (normally until exit,
    as the daemon's pool does).  A run that stops early
@@ -49,17 +49,13 @@ entries and journal lines.
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
-import threading
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -76,9 +72,6 @@ from repro.campaign.planner import (
 )
 from repro.campaign.spec import CampaignSpec, Configuration, ScenarioPoint
 from repro.io import scan_jsonl
-
-if TYPE_CHECKING:
-    from repro.service.fleet import EvalFleet
 
 
 class CampaignConfigError(ValueError):
@@ -543,7 +536,7 @@ def run_campaign(
         points.  The planner sizes the buckets from it.  ``1`` runs
         in-process (deterministic, no pool) but still journals bucket by
         bucket.  More run on the process's resident
-        :class:`~repro.service.fleet.EvalFleet`: the first such campaign
+        :class:`~repro.campaign.pool.EvalFleet`: the first such campaign
         forks it, later ones reuse it (a bigger count forks a bigger
         one; a smaller count still runs at most ``n_workers`` buckets at
         a time), and it closes at interpreter exit.  Its workers are
@@ -663,6 +656,8 @@ def _execute(
             commit(bucket, evaluate_points([p for _, p in bucket]))
         return len(todo), n_packed
 
+    from repro.campaign.pool import _campaign_fleet
+
     # closing(): a campaign that stops early cancels its unstarted
     # buckets now, not when its traceback is collected.
     with _campaign_fleet(workers) as fleet, closing(
@@ -671,66 +666,3 @@ def _execute(
         for bucket, records in landed:
             commit(bucket, records)
     return len(todo), n_packed
-
-
-# -- the resident campaign pool ---------------------------------------------
-# One idle EvalFleet per process waits here between multi-worker
-# campaigns.  A campaign takes it out for its run and puts it back, so
-# each pool serves one campaign at a time: a worker crash is only ever
-# blamed on the points of the campaign that owns the pool.
-_pool_lock = threading.Lock()
-_pool: Optional[EvalFleet] = None
-_pool_pid = 0  # the pid that forked _pool; a forked child never reuses it
-
-
-@contextmanager
-def _campaign_fleet(workers: int) -> Iterator[EvalFleet]:
-    """Lend a pool of at least ``workers`` processes to one campaign.
-
-    The idle resident pool is reused if it is big enough; otherwise (or
-    while another campaign holds it) a new one is forked.  On return the
-    bigger of the returned and the resident pool stays; the other closes.
-    """
-    global _pool, _pool_pid
-    from repro.service import fleet as fleet_mod
-
-    with _pool_lock:
-        if _pool_pid != os.getpid():
-            _pool, _pool_pid = None, os.getpid()
-        fleet, _pool = _pool, None
-    if fleet is not None and (
-        fleet.procs < workers or fleet.stats()["broken"]
-    ):
-        fleet.close()
-        fleet = None
-    if fleet is None:
-        fleet = fleet_mod.EvalFleet(workers)
-    try:
-        yield fleet
-    finally:
-        with _pool_lock:
-            if _pool_pid == os.getpid() and (
-                _pool is None or _pool.procs < fleet.procs
-            ):
-                fleet, _pool = _pool, fleet
-        if fleet is not None:
-            fleet.close()
-
-
-def _close_campaign_pool() -> None:
-    """Close the idle resident campaign pool of this process, if any.
-
-    Runs at interpreter exit; the test suite also calls it after every
-    test, so a pool forked in one test never carries that test's state
-    (monkeypatches, quarantine) into the next.
-    """
-    global _pool
-    with _pool_lock:
-        fleet, _pool = _pool, None
-        if _pool_pid != os.getpid():
-            return
-    if fleet is not None:
-        fleet.close()
-
-
-atexit.register(_close_campaign_pool)

@@ -4,7 +4,7 @@ A **bucket** is one unit of batch evaluation: ``(key, point)`` pairs
 that one :func:`~repro.campaign.executor.evaluate_points` call answers
 together.  :func:`plan_buckets` carves a list of points into buckets the
 same way for every path -- ``run_campaign`` tasks, jobs-API buckets and
-:class:`~repro.service.fleet.EvalFleet` worker buckets -- and is the
+:class:`~repro.campaign.pool.EvalFleet` worker buckets -- and is the
 only place that sizes them (no caller passes a chunk size):
 
 * packable simulate points (``auto``/``packed`` engine requests) are

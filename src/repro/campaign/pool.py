@@ -1,51 +1,42 @@
-"""The process pool: the daemon's resident fleet and campaign workers.
+"""The process pool: campaign workers and the daemon's resident fleet.
 
-One daemon process tops out at roughly one core of Monte-Carlo: the
-:class:`~repro.service.scheduler.MicroBatchScheduler` evaluates its
-mega-batches on an in-process thread pool, and NumPy holds the GIL for
-only part of each engine call.  :class:`EvalFleet` lifts that ceiling
-by fanning every scheduler batch out to **N resident worker
-processes**.  It is the only process pool in the package:
-``run_campaign`` with several workers runs its planned buckets on an
-``EvalFleet`` too (:meth:`EvalFleet.run_buckets`, which yields each
-bucket as it lands so the campaign journal streams), and so gets the
-same crash recovery.
+:class:`EvalFleet` fans planned buckets of scenario points out to **N
+resident worker processes**.  It is the only process pool in the
+package: ``run_campaign`` with several workers runs its buckets on one
+(:meth:`EvalFleet.run_buckets`, which yields each bucket as it lands so
+the campaign journal streams), and ``repro serve --eval-procs N`` hands
+one to the daemon's scheduler as its ``evaluate`` callable
+(:meth:`EvalFleet.evaluate`), lifting the one-core ceiling of
+in-process evaluation.
 
 * The pool is created once (fork context) -- at service startup, or
   by the first multi-worker campaign of a process, whose later
-  campaigns reuse it until exit -- and stays warm: each worker keeps
-  its imports, schedule/optimisation memo caches and NumPy buffers
+  campaigns reuse it until exit (:func:`_campaign_fleet`) -- and stays
+  warm: each worker keeps its imports, memo caches and NumPy buffers
   across batches, so per-batch cost is IPC plus compute, never
   interpreter start-up.
 * Each batch is carved into buckets by the **one planner every
-  execution path uses** (:func:`repro.campaign.planner.plan_buckets`,
-  also behind ``run_campaign`` and the jobs API), called with
-  ``workers=procs``: packable points are row-budgeted with the budget
-  spread across the fleet, and other points (explicit tiers, analytic,
-  optimize) are chunked about four per process, so one batch fills the
-  whole fleet instead of one worker.
+  execution path uses** (:func:`repro.campaign.planner.plan_buckets`),
+  called with ``workers=procs``, so one batch fills the whole pool
+  instead of one worker.
 * Workers evaluate through
-  :func:`~repro.campaign.executor.evaluate_points`, whose per-point
-  records are **bit-identical** to solo
-  :func:`~repro.campaign.executor.evaluate_point` runs under any
-  packing -- ``tier_rng``'s placement-invariant per-point streams make
-  the worker count invisible in the results.  The fleet reassembles
-  records in input order, so swapping it in for in-process evaluation
+  :func:`~repro.campaign.executor.evaluate_points`, whose records are
+  **bit-identical** to solo runs under any packing or worker count
+  (``tier_rng``'s placement-invariant per-point streams), so the pool
   changes throughput and nothing else.
 
-The scheduler takes the fleet as its injectable ``evaluate`` callable
-(``MicroBatchScheduler(..., evaluate=fleet.evaluate)``); ``repro serve
---eval-procs N`` wires it up, and the fleet's counters surface under
-``"evaluator"`` in ``GET /v1/stats``.
+The pool knows nothing of the daemon.  It reads its chaos and
+observability inputs through two hooks it declares itself
+(:class:`ChaosHook`, :class:`ObsHook`), and reports spans into the
+thread's :func:`repro.spans.current_sink`.
 
 Crash recovery
 --------------
 A worker dying mid-batch (OOM kill, segfault in a native extension, a
 chaos-injected ``kill@N``) breaks the whole ``ProcessPoolExecutor``:
 every in-flight future raises ``BrokenProcessPool`` and the pool never
-accepts work again.  Instead of letting that poison the scheduler
-forever, :meth:`EvalFleet.run_buckets` (behind both
-:meth:`EvalFleet.evaluate` and campaign runs):
+accepts work again.  :meth:`EvalFleet.run_buckets` (behind both
+:meth:`EvalFleet.evaluate` and campaign runs) then:
 
 1. **rebuilds** the pool (fork + warm-up, exactly like startup) and
    **re-executes** the buckets that had not completed -- safe by
@@ -56,20 +47,20 @@ forever, :meth:`EvalFleet.run_buckets` (behind both
    repeatedly-crashing bucket so the innocents in it still answer;
 3. **quarantines** a single point that keeps crashing workers: its
    cache key goes on a deny list and further evaluations raise
-   :class:`~repro.service.faults.PoisonPointError` immediately (a
-   per-point error record downstream), never touching the pool again.
+   :class:`PoisonPointError` immediately (a per-point error record
+   downstream), never touching the pool again.
 
 If the pool cannot be *rebuilt* (fork failing, warm-up dying -- an
 infrastructure problem, not a point problem), evaluation raises
-:class:`~repro.service.faults.FleetUnavailableError`; the scheduler's
-circuit breaker then degrades to in-process evaluation.  A worker that
-dies during the **constructor** warm-up fails fast with a clear
-message instead of surfacing as an opaque ``BrokenProcessPool`` at the
-first batch.
+:class:`FleetUnavailableError`; the daemon's circuit breaker then
+degrades to in-process evaluation.  A worker that dies during the
+**constructor** warm-up fails fast with a clear message instead of
+surfacing as an opaque ``BrokenProcessPool`` at the first batch.
 """
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
 import signal
@@ -83,7 +74,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from collections import deque
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from typing import (
     Any,
     Deque,
@@ -91,6 +82,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Protocol,
     Sequence,
     Set,
     Tuple,
@@ -105,13 +97,39 @@ from repro.campaign.planner import (
     point_rows,
 )
 from repro.campaign.spec import ScenarioPoint
-from repro.service.faults import (
-    FaultInjector,
-    FleetUnavailableError,
-    InjectedFault,
-    PoisonPointError,
-)
-from repro.service.obs import Observability, current_sink
+from repro.spans import current_sink
+
+
+class FleetUnavailableError(RuntimeError):
+    """The workers are gone and could not be rebuilt: an infrastructure
+    failure, not a point's -- the daemon then evaluates in-process."""
+
+
+class PoisonPointError(RuntimeError):
+    """A point that repeatedly crashed workers is quarantined; it answers
+    as a per-point error while its neighbours still answer."""
+
+
+class ChaosHook(Protocol):
+    """The chaos inputs the pool reads (``FaultInjector`` fits):
+    ``plan.poison_seeds`` (a bucket holding such a simulate seed
+    hard-exits its worker), ``plan.crash_prewarm`` (workers die in
+    warm-up), and ``fleet_batch()``, asked once per evaluated batch,
+    whose truthy ``.kill`` SIGKILLs a worker mid-batch."""
+
+    plan: Any
+
+    def fleet_batch(self) -> Any: ...
+
+
+class ObsHook(Protocol):
+    """The observability inputs the pool reads (``Observability`` fits):
+    its counters update under ``stats_lock``, and each planned bucket's
+    row count goes to ``h_bucket_rows.observe``."""
+
+    stats_lock: Any
+    h_bucket_rows: Any
+
 
 #: Pool-crash retries per bucket before bisection kicks in.
 DEFAULT_BUCKET_RETRIES = 2
@@ -200,8 +218,8 @@ class EvalFleet:
         *,
         pack_rows: int = DEFAULT_PACK_ROWS,
         bucket_retries: int = DEFAULT_BUCKET_RETRIES,
-        injector: Optional[FaultInjector] = None,
-        obs: Optional[Observability] = None,
+        injector: Optional[ChaosHook] = None,
+        obs: Optional[ObsHook] = None,
     ):
         if procs < 1:
             raise ValueError(f"procs must be >= 1, got {procs}")
@@ -395,43 +413,31 @@ class EvalFleet:
         self._current_pool()  # closed/broken checks up front
         if not points:
             return []
-        batch_fault = None
-        if self._injector is not None:
-            fault = self._injector.eval_call()
-            if fault.delay_s > 0:
-                time.sleep(fault.delay_s)
-            if fault.raise_now:
-                raise InjectedFault(
-                    f"injected evaluation failure "
-                    f"(eval call {fault.ordinal})"
-                )
-            batch_fault = self._injector.fleet_batch()
-        # Observability: the thread-local sink is armed by the
-        # scheduler (same executor thread) only when a request trace
-        # is riding this batch; its buckets then report per-worker
-        # spans through it without touching the records themselves.
-        sink = current_sink() if self._obs is not None else None
+        kill = (
+            self._injector is not None and self._injector.fleet_batch().kill
+        )
+        # A request trace riding this batch (the daemon arms the sink on
+        # this thread) gets the planning and per-worker bucket spans.
+        sink = current_sink()
         # Index-keyed items: input position is the reassembly address
         # (cache keys may legitimately repeat within a batch).
         items = [(str(i), p) for i, p in enumerate(points)]
         total_rows = sum(point_rows(p) for p in points)
-        t_plan0 = time.perf_counter() if self._obs is not None else 0.0
+        t_plan0 = time.perf_counter() if sink is not None else 0.0
         buckets = plan_buckets(items, self.pack_rows, workers=self.procs)
         if self._obs is not None:
             for b in buckets:
                 self._obs.h_bucket_rows.observe(bucket_rows(b))
-            if sink is not None:
-                sink.add(
-                    "pack",
-                    t_plan0,
-                    time.perf_counter(),
-                    {"buckets": len(buckets)},
-                )
+        if sink is not None:
+            sink.add(
+                "pack",
+                t_plan0,
+                time.perf_counter(),
+                {"buckets": len(buckets)},
+            )
         out: List[Optional[Dict[str, Any]]] = [None] * len(points)
         for bucket, records in self.run_buckets(
-            buckets,
-            sink=sink,
-            kill=batch_fault is not None and batch_fault.kill,
+            buckets, sink=sink, kill=kill
         ):
             for (key, _), record in zip(bucket, records):
                 out[int(key)] = record
@@ -616,3 +622,64 @@ class EvalFleet:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+# -- the resident campaign pool ---------------------------------------------
+# One idle EvalFleet per process waits here between multi-worker
+# campaigns.  A campaign takes it out for its run and puts it back, so
+# each pool serves one campaign at a time: a worker crash is only ever
+# blamed on the points of the campaign that owns the pool.
+_pool_lock = threading.Lock()
+_pool: Optional[EvalFleet] = None
+_pool_pid = 0  # the pid that forked _pool; a forked child never reuses it
+
+
+@contextmanager
+def _campaign_fleet(workers: int) -> Iterator[EvalFleet]:
+    """Lend a pool of at least ``workers`` processes to one campaign.
+
+    The idle resident pool is reused if it is big enough; otherwise (or
+    while another campaign holds it) a new one is forked.  On return the
+    bigger of the returned and the resident pool stays; the other closes.
+    """
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool_pid != os.getpid():
+            _pool, _pool_pid = None, os.getpid()
+        fleet, _pool = _pool, None
+    if fleet is not None and (
+        fleet.procs < workers or fleet.stats()["broken"]
+    ):
+        fleet.close()
+        fleet = None
+    if fleet is None:
+        fleet = EvalFleet(workers)
+    try:
+        yield fleet
+    finally:
+        with _pool_lock:
+            if _pool_pid == os.getpid() and (
+                _pool is None or _pool.procs < fleet.procs
+            ):
+                fleet, _pool = _pool, fleet
+        if fleet is not None:
+            fleet.close()
+
+
+def _close_campaign_pool() -> None:
+    """Close the idle resident campaign pool of this process, if any.
+
+    Runs at interpreter exit; the test suite also calls it after every
+    test, so a pool forked in one test never carries that test's state
+    (monkeypatches, quarantine) into the next.
+    """
+    global _pool
+    with _pool_lock:
+        fleet, _pool = _pool, None
+        if _pool_pid != os.getpid():
+            return
+    if fleet is not None:
+        fleet.close()
+
+
+atexit.register(_close_campaign_pool)

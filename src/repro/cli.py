@@ -840,7 +840,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: run the evaluation daemon."""
-    from repro.service.faults import FleetUnavailableError
+    from repro.campaign.pool import FleetUnavailableError
     from repro.service.server import ServiceConfig, run_service
 
     config = ServiceConfig(host=args.host, port=args.port)

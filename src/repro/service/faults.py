@@ -27,18 +27,24 @@ Plan grammar (comma-separated directives)::
 and counted by the :class:`FaultInjector`, whose counters surface under
 ``"faults"`` in ``GET /v1/stats``.
 
-The error taxonomy the recovery machinery shares also lives here (this
-module imports nothing from the rest of the service, so every layer
-can import it without cycles):
+The raise/delay schedule has one path: the daemon wraps whichever
+evaluate callable it installs, the process pool's or in-process
+evaluation, with :func:`wrap_evaluate`.  The pool
+(:class:`~repro.campaign.pool.EvalFleet`) reads the rest of the plan --
+kills, poison seeds, warm-up crashes -- through its own
+:class:`~repro.campaign.pool.ChaosHook`, which a
+:class:`FaultInjector` satisfies.
 
-* :class:`InjectedFault` -- a scheduled ``raise@N`` firing; handled by
-  the scheduler's existing failed-batch isolation.
-* :class:`FleetUnavailableError` -- the fleet's worker pool could not
-  be (re)built; the scheduler's circuit breaker counts these and
-  degrades to in-process evaluation.
-* :class:`PoisonPointError` -- a single point repeatedly crashed
-  workers and was quarantined; surfaces as a per-point error record,
-  never as a dead fleet.
+Error taxonomy of the recovery machinery:
+
+* :class:`InjectedFault` (here) -- a scheduled ``raise@N`` firing;
+  handled by the scheduler's existing failed-batch isolation.
+* :class:`~repro.campaign.pool.FleetUnavailableError` -- the pool's
+  workers could not be (re)built; the scheduler's circuit breaker
+  counts these and degrades to in-process evaluation.
+* :class:`~repro.campaign.pool.PoisonPointError` -- a single point
+  repeatedly crashed workers and was quarantined; surfaces as a
+  per-point error record, never as a dead pool.
 """
 
 from __future__ import annotations
@@ -55,24 +61,6 @@ FAULTS_ENV = "REPRO_FAULTS"
 
 class InjectedFault(RuntimeError):
     """A scheduled ``raise@N`` directive firing inside evaluation."""
-
-
-class FleetUnavailableError(RuntimeError):
-    """The fleet's worker pool is gone and could not be rebuilt.
-
-    This is an *infrastructure* failure (fork failing, warm-up dying
-    repeatedly), not a property of any point -- the scheduler's circuit
-    breaker reacts by evaluating in-process instead.
-    """
-
-
-class PoisonPointError(RuntimeError):
-    """A point that repeatedly crashed workers has been quarantined.
-
-    Raised instead of touching the pool again; the scheduler's
-    failed-batch isolation turns it into a per-point ``error`` record
-    while every innocent neighbour still answers.
-    """
 
 
 @dataclass(frozen=True)
@@ -105,7 +93,7 @@ class FaultPlan:
 
     @property
     def touches_eval(self) -> bool:
-        """Whether the in-process evaluate path needs wrapping."""
+        """Whether the plan raises or delays any evaluation call."""
         return bool(self.raise_evals or self.delay_evals)
 
     def describe(self) -> str:
@@ -323,8 +311,8 @@ def wrap_evaluate(
 ) -> Callable[..., Any]:
     """Apply an injector's raise/delay schedule to an evaluate callable.
 
-    Used for the in-process evaluation path (the fleet applies the
-    schedule itself, so it also covers kills).
+    The daemon wraps the callable it installs, process pool or
+    in-process, so one evaluation ordinal counts every batch it sends.
     """
     import time
 

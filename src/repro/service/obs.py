@@ -31,12 +31,9 @@ asserts the on-vs-off throughput overhead stays within 5 %.  The
 spans never touch result records, so bit-identity of service output
 to solo CLI runs is untouched by construction.
 
-Cross-thread propagation: the scheduler evaluates batches on a thread
-pool, and ``contextvars`` do not cross ``run_in_executor``.  The fleet
-therefore reports bucket spans through a *thread-local sink*
-(:func:`run_with_sink` / :func:`current_sink`) that the scheduler
-arms inside the executor thread around each batch evaluation -- the
-same thread the fleet's ``evaluate`` runs on.
+Spans, and the thread-local sink that carries the process pool's
+bucket spans back from the scheduler's executor thread, live in
+:mod:`repro.spans`.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ import uuid
 from collections import deque
 from typing import (
     Any,
-    Callable,
     Dict,
     IO,
     Iterable,
@@ -62,6 +58,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from repro.spans import Span
 
 #: Request/response header carrying the trace ID (lower-cased on read;
 #: the server lower-cases incoming header names).
@@ -108,39 +106,6 @@ def clean_trace_id(raw: Optional[str]) -> Optional[str]:
     if not re.fullmatch(r"[A-Za-z0-9._:-]+", raw):
         return None
     return raw
-
-
-class Span:
-    """One timed operation inside a request: ``[t0, t1)`` + metadata.
-
-    Times are ``time.perf_counter()`` seconds; :meth:`to_dict`
-    re-bases them onto the owning trace's start so the timeline reads
-    as offsets.
-    """
-
-    __slots__ = ("name", "t0", "t1", "meta")
-
-    def __init__(
-        self,
-        name: str,
-        t0: float,
-        t1: float,
-        meta: Optional[Dict[str, Any]] = None,
-    ):
-        self.name = name
-        self.t0 = t0
-        self.t1 = t1
-        self.meta = meta
-
-    def to_dict(self, base: float) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
-            "name": self.name,
-            "start_ms": round(1e3 * (self.t0 - base), 4),
-            "duration_ms": round(1e3 * (self.t1 - self.t0), 4),
-        }
-        if self.meta:
-            doc.update(self.meta)
-        return doc
 
 
 class RequestTrace:
@@ -510,51 +475,6 @@ class ArrivalRecorder:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
-
-
-# -- cross-thread bucket-span sink -------------------------------------------
-class BatchSink:
-    """Collects fleet bucket spans for one batch evaluation."""
-
-    __slots__ = ("spans",)
-
-    def __init__(self) -> None:
-        self.spans: List[Span] = []
-
-    def add(
-        self,
-        name: str,
-        t0: float,
-        t1: float,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.spans.append(Span(name, t0, t1, meta))
-
-
-_sink_local = threading.local()
-
-
-def current_sink() -> Optional[BatchSink]:
-    """The executor thread's active batch sink, if any."""
-    return getattr(_sink_local, "sink", None)
-
-
-def run_with_sink(
-    sink: Optional[BatchSink],
-    fn: Callable[..., Any],
-    *args: Any,
-) -> Any:
-    """Run ``fn(*args)`` with ``sink`` armed as this thread's sink.
-
-    The scheduler wraps batch evaluation in this so the fleet, called
-    on the same executor thread, can deposit per-bucket spans without
-    any plumbing through the evaluate signature.
-    """
-    _sink_local.sink = sink
-    try:
-        return fn(*args)
-    finally:
-        _sink_local.sink = None
 
 
 class Observability:

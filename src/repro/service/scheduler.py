@@ -69,15 +69,11 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.campaign.cache import cache_key
 from repro.campaign.planner import DEFAULT_PACK_ROWS, point_rows
+from repro.campaign.pool import FleetUnavailableError
 from repro.campaign.spec import ScenarioPoint
-from repro.service.faults import FleetUnavailableError
 from repro.service.memcache import TieredCache
-from repro.service.obs import (
-    BatchSink,
-    Observability,
-    RequestTrace,
-    run_with_sink,
-)
+from repro.service.obs import Observability, RequestTrace
+from repro.spans import BatchSink, run_with_sink
 
 #: Default micro-batch collection window.  Long enough that requests
 #: issued "at the same time" (one client fan-out, a burst of users)

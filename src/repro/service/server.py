@@ -42,7 +42,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro._version import __version__
+from repro.campaign.executor import evaluate_points
 from repro.campaign.planner import DEFAULT_PACK_ROWS, point_rows
+from repro.campaign.pool import EvalFleet
 from repro.service.admission import (
     ANONYMOUS_CLIENT,
     AdmissionConfig,
@@ -75,7 +77,6 @@ from repro.service.protocol import (
     evaluate_response,
     parse_evaluate_body,
 )
-from repro.service.fleet import EvalFleet
 from repro.service.scheduler import (
     DEFAULT_EVAL_WORKERS,
     DEFAULT_WINDOW_MS,
@@ -128,7 +129,7 @@ class ServiceConfig:
     #: the compute-arrival rate it counts, ignoring ``batch_window_ms``
     #: (:mod:`repro.service.scheduler`).
     autotune: bool = False
-    #: Resident evaluation processes (:mod:`repro.service.fleet`).
+    #: Resident evaluation processes (:mod:`repro.campaign.pool`).
     #: ``0`` keeps evaluation in-process (the single-core default);
     #: ``N >= 1`` fans scheduler batches out to N warm workers.
     eval_procs: int = 0
@@ -624,23 +625,18 @@ async def start_service(
             injector=injector,
             obs=obs,
         )
-    evaluate = fleet.evaluate if fleet is not None else None
-    fallback = None
-    if fleet is not None:
-        from repro.campaign.executor import evaluate_points
-
-        fallback = evaluate_points
-    elif injector is not None and plan.touches_eval:
-        from repro.campaign.executor import evaluate_points
-
-        evaluate = wrap_evaluate(evaluate_points, injector)
+    # The fault schedule wraps whichever evaluate is installed; the
+    # in-process fallback behind a pool stays unwrapped.
+    evaluate = fleet.evaluate if fleet is not None else evaluate_points
+    if injector is not None:
+        evaluate = wrap_evaluate(evaluate, injector)
     scheduler = MicroBatchScheduler(
         cache,
         batch_window_ms=config.batch_window_ms,
         pack_rows=config.pack_rows,
         eval_workers=config.eval_workers,
         evaluate=evaluate,
-        fallback_evaluate=fallback,
+        fallback_evaluate=evaluate_points if fleet is not None else None,
         obs=obs,
         autotune=config.autotune,
         # N fleet workers absorb ~N times the arrival rate before

@@ -605,218 +605,226 @@ def simulate_packed_batch(
             "packed jobs must carry distinct generator objects; sharing "
             "one stream between jobs breaks draw identity across packings"
         )
-    pack = _Pack(jobs)
-    N = pack.n_rows
-    J = len(jobs)
+    # Rates below about 1e-306 overflow their exponential scales (and
+    # the draws they multiply) to inf: the intended "no strike".
+    with np.errstate(over="ignore"):
+        pack = _Pack(jobs)
+        N = pack.n_rows
+        J = len(jobs)
 
-    pc = np.zeros(N, dtype=np.int64)        # local op index within the job
-    pending = np.zeros(N, dtype=np.int64)
-    times = np.zeros(N, dtype=np.float64)
-    # One counter matrix, span counters first, so the clean pass credits
-    # all three with one update; ``counters`` holds its row views.
-    counts = np.zeros((len(_FIELDS), N), dtype=np.int64)
-    counters = dict(zip(_FIELDS, counts))
+        pc = np.zeros(N, dtype=np.int64)        # local op index within the job
+        pending = np.zeros(N, dtype=np.int64)
+        times = np.zeros(N, dtype=np.float64)
+        # One counter matrix, span counters first, so the clean pass credits
+        # all three with one update; ``counters`` holds its row views.
+        counts = np.zeros((len(_FIELDS), N), dtype=np.int64)
+        counters = dict(zip(_FIELDS, counts))
 
-    row_job = pack.row_job
-    op_off = pack.op_off
-    pre_off = pack.pre_off
-    row_n_ops = pack.row_n_ops
-    std_exp = pack.std_exp
+        row_job = pack.row_job
+        op_off = pack.op_off
+        pre_off = pack.pre_off
+        row_n_ops = pack.row_n_ops
+        std_exp = pack.std_exp
 
-    active = np.arange(N)
-    sweeps = 0
-    clean_visits = 0
-    dirty_visits = 0
-    job_sweeps = 0
-    while active.size:
-        sweeps += 1
-        if sweeps > max_sweeps:
-            raise RuntimeError(
-                f"{active.size} instances still running after {max_sweeps} "
-                "sweeps; some pattern is far beyond its platform MTBF"
-            )
-        pend = pending[active]
-        clean = active[pend == 0]
-        dirty = active[pend > 0]
-        recover: List[np.ndarray] = []
+        active = np.arange(N)
+        sweeps = 0
+        clean_visits = 0
+        dirty_visits = 0
+        job_sweeps = 0
+        while active.size:
+            sweeps += 1
+            if sweeps > max_sweeps:
+                raise RuntimeError(
+                    f"{active.size} instances still running after "
+                    f"{max_sweeps} sweeps; some pattern is far beyond its "
+                    "platform MTBF"
+                )
+            pend = pending[active]
+            clean = active[pend == 0]
+            dirty = active[pend > 0]
+            recover: List[np.ndarray] = []
 
-        # ---- clean instances: jump to the next stochastic event ----------
-        if clean.size:
-            a = pc[clean]
-            k = clean.size
-            jb = row_job[clean]
-            bounds = pack.bounds(clean)
-            lo, hi = bounds[:-1], bounds[1:]
-            size = hi - lo
-            clean_visits += k
-            job_sweeps += int(np.count_nonzero(size))
-            # Job j's draws go to the block [2 lo[j], 2 hi[j]): e_f in the
-            # first half, e_s in the second.  With both rates positive,
-            # one fused call fills the block (NumPy's exponential stream
-            # is consumed variate by variate, so one 2k-draw is
-            # bit-identical to two k-draws); with one, a k-call fills its
-            # half.  Unfilled halves stay +inf: a zero rate's target is
-            # +inf, so its search lands past the schedule end ("no
-            # strike").  Subnormal rates overflow the division to inf,
-            # the same outcome.
-            draws = np.full(2 * k, np.inf)
-            djobs = (size * pack.any_rate).nonzero()[0]
-            _fill(
-                std_exp, draws, djobs,
-                np.where(pack.has_f, 2 * lo, lo + hi)[djobs],
-                np.where(pack.has_s, 2 * hi, lo + hi)[djobs],
-            )
-            at_f = np.arange(k) + lo[jb]
-            row_pre = pre_off[jb]
-            ga = row_pre + a
-            with np.errstate(over="ignore"):
+            # ---- clean instances: jump to the next stochastic event ------
+            if clean.size:
+                a = pc[clean]
+                k = clean.size
+                jb = row_job[clean]
+                bounds = pack.bounds(clean)
+                lo, hi = bounds[:-1], bounds[1:]
+                size = hi - lo
+                clean_visits += k
+                job_sweeps += int(np.count_nonzero(size))
+                # Job j's draws go to the block [2 lo[j], 2 hi[j]): e_f in the
+                # first half, e_s in the second.  With both rates positive,
+                # one fused call fills the block (NumPy's exponential stream
+                # is consumed variate by variate, so one 2k-draw is
+                # bit-identical to two k-draws); with one, a k-call fills its
+                # half.  Unfilled halves stay +inf: a zero rate's target is
+                # +inf, so its search lands past the schedule end ("no
+                # strike").  Subnormal rates overflow the division to inf,
+                # the same outcome.
+                draws = np.full(2 * k, np.inf)
+                djobs = (size * pack.any_rate).nonzero()[0]
+                _fill(
+                    std_exp, draws, djobs,
+                    np.where(pack.has_f, 2 * lo, lo + hi)[djobs],
+                    np.where(pack.has_s, 2 * hi, lo + hi)[djobs],
+                )
+                at_f = np.arange(k) + lo[jb]
+                row_pre = pre_off[jb]
+                ga = row_pre + a
                 target_v = pack.Pv_cat[ga] + draws[at_f] / pack.lf[jb]
                 target_c = (
                     pack.Pc_cat[ga] + draws[at_f + size[jb]] / pack.ls[jb]
                 )
-            # Local index of the op in which each target falls (n_ops
-            # past the end), found inside the row's own job block.
-            base = row_pre + 1
-            key = _job_keys(jb, target_v)
-            b_f = pack.Pv_key.searchsorted(key, side="right") - base
-            key.imag = target_c
-            b_s = pack.Pc_key.searchsorted(key, side="right") - base
+                # Local index of the op in which each target falls (n_ops
+                # past the end), found inside the row's own job block.
+                base = row_pre + 1
+                key = _job_keys(jb, target_v)
+                b_f = pack.Pv_key.searchsorted(key, side="right") - base
+                key.imag = target_c
+                b_s = pack.Pc_key.searchsorted(key, side="right") - base
 
-            n_ops_c = row_n_ops[clean]
-            # A crash in the same compute operation supersedes the silent
-            # strike (matching the step engine), hence <=.
-            crash = (b_f < n_ops_c) & (b_f <= b_s)
-            strike = (b_s < n_ops_c) & (b_s < b_f)
+                n_ops_c = row_n_ops[clean]
+                # A crash in the same compute operation supersedes the silent
+                # strike (matching the step engine), hence <=.
+                crash = (b_f < n_ops_c) & (b_f <= b_s)
+                strike = (b_s < n_ops_c) & (b_s < b_f)
 
-            # One unified pass over all clean rows: every outcome credits
-            # the completed span [a, b_end) -- b_end is the crash op for
-            # crashes, the struck compute + 1 for silent strikes, and the
-            # schedule end for error-free finishes -- and crashes add the
-            # partial crash-op time on top.  Per row this evaluates
-            # exactly the per-outcome expressions P[b] - P[a] (+ the
-            # crash-op remainder): the crash extra term is +0.0
-            # elsewhere, and all span increments are non-negative, so
-            # adding it is bit-neutral.
-            b_end = np.where(crash, b_f, np.where(strike, b_s + 1, n_ops_c))
-            gb = row_pre + b_end
-            extra = np.where(crash, target_v - pack.Pv_cat[gb], 0.0)
-            times[clean] += pack.P_cat[gb] - pack.P_cat[ga] + extra
-            counts[: len(_SPAN_FIELDS), clean] += (
-                pack.span_cat[:, gb] - pack.span_cat[:, ga]
-            )
-
-            idx = clean[crash]
-            if idx.size:
-                counters["fail_stop_errors"][idx] += 1
-                recover.append(idx)
-            idx = clean[strike]
-            if idx.size:
-                counters["silent_errors"][idx] += 1
-                pending[idx] = 1
-            counters["disk_checkpoints"][clean[~crash & ~strike]] += 1
-            # Crash rows' pc is reset by the recovery block below; strike
-            # rows resume at the op after the struck compute; finished
-            # rows park at the schedule end.
-            pc[clean] = b_end
-
-        # ---- dirty instances: one operation per pass ----------------------
-        if dirty.size:
-            cur = pc[dirty]
-            jb = row_job[dirty]
-            g = op_off[jb] + cur
-            kinds = pack.kinds_cat[g]
-            od = pack.durs_cat[g]
-            k = dirty.size
-            bounds = pack.bounds(dirty)
-            dirty_visits += k
-            job_sweeps += int(np.count_nonzero(bounds[1:] > bounds[:-1]))
-            # ``exponential(scale, n)`` is ``scale * standard_exponential``
-            # variate by variate, so the scales are applied afterwards,
-            # batch-wide.
-            t_fail = np.full(k, np.inf)
-            pack.fill(std_exp, t_fail, bounds, pack.has_f)
-            t_fail *= pack.scale_f[jb]
-            is_comp = kinds == OP_COMPUTE
-            crashed = (pack.vuln[jb] | is_comp) & (t_fail < od)
-            times[dirty] += np.where(crashed, t_fail, od)
-            counters["fail_stop_errors"][dirty[crashed]] += 1
-            if crashed.any():
-                recover.append(dirty[crashed])
-            ok = ~crashed
-
-            # Compute chunks executed while corrupted: more strikes stack.
-            comp = ok & is_comp
-            cidx = dirty[comp]
-            if cidx.size:
-                t_strike = np.full(cidx.size, np.inf)
-                pack.fill(std_exp, t_strike, pack.bounds(cidx), pack.has_s)
-                t_strike *= pack.scale_s[jb[comp]]
-                struck = t_strike < od[comp]
-                pending[cidx] += struck
-                counters["silent_errors"][cidx] += struck
-            pc[cidx] += 1
-
-            ver = ok & (kinds == OP_VERIFY)
-            vidx = dirty[ver]
-            if vidx.size:
-                gv = g[ver]
-                guaranteed = pack.guar_cat[gv]
-                counters["guaranteed_verifications"][vidx[guaranteed]] += 1
-                counters["partial_verifications"][vidx[~guaranteed]] += 1
-                p_det = detection_probability(
-                    pack.recalls_cat[gv], pending[vidx]
+                # One unified pass over all clean rows: every outcome credits
+                # the completed span [a, b_end) -- b_end is the crash op for
+                # crashes, the struck compute + 1 for silent strikes, and the
+                # schedule end for error-free finishes -- and crashes add the
+                # partial crash-op time on top.  Per row this evaluates
+                # exactly the per-outcome expressions P[b] - P[a] (+ the
+                # crash-op remainder): the crash extra term is +0.0
+                # elsewhere, and all span increments are non-negative, so
+                # adding it is bit-neutral.
+                b_end = np.where(
+                    crash, b_f, np.where(strike, b_s + 1, n_ops_c)
                 )
-                u = np.empty(vidx.size, dtype=np.float64)
-                pack.fill(pack.uniform, u, pack.bounds(vidx), True)
-                detected = u < p_det
-                counters["silent_detections_guaranteed"][
-                    vidx[detected & guaranteed]
-                ] += 1
-                counters["silent_detections_partial"][
-                    vidx[detected & ~guaranteed]
-                ] += 1
-                pc[vidx[~detected]] += 1
-                didx = vidx[detected]
-                if didx.size:
-                    # Memory recovery; a fail-stop hit during it escalates
-                    # to a disk recovery and a pattern restart.
-                    dj = row_job[didx]
-                    t_rec = np.full(didx.size, np.inf)
-                    pack.fill(
-                        std_exp, t_rec, pack.bounds(didx), pack.mem_draw
+                gb = row_pre + b_end
+                extra = np.where(crash, target_v - pack.Pv_cat[gb], 0.0)
+                times[clean] += pack.P_cat[gb] - pack.P_cat[ga] + extra
+                counts[: len(_SPAN_FIELDS), clean] += (
+                    pack.span_cat[:, gb] - pack.span_cat[:, ga]
+                )
+
+                idx = clean[crash]
+                if idx.size:
+                    counters["fail_stop_errors"][idx] += 1
+                    recover.append(idx)
+                idx = clean[strike]
+                if idx.size:
+                    counters["silent_errors"][idx] += 1
+                    pending[idx] = 1
+                counters["disk_checkpoints"][clean[~crash & ~strike]] += 1
+                # Crash rows' pc is reset by the recovery block below; strike
+                # rows resume at the op after the struck compute; finished
+                # rows park at the schedule end.
+                pc[clean] = b_end
+
+            # ---- dirty instances: one operation per pass ------------------
+            if dirty.size:
+                cur = pc[dirty]
+                jb = row_job[dirty]
+                g = op_off[jb] + cur
+                kinds = pack.kinds_cat[g]
+                od = pack.durs_cat[g]
+                k = dirty.size
+                bounds = pack.bounds(dirty)
+                dirty_visits += k
+                job_sweeps += int(np.count_nonzero(bounds[1:] > bounds[:-1]))
+                # ``exponential(scale, n)`` is ``scale * standard_exponential``
+                # variate by variate, so the scales are applied afterwards,
+                # batch-wide.
+                t_fail = np.full(k, np.inf)
+                pack.fill(std_exp, t_fail, bounds, pack.has_f)
+                t_fail *= pack.scale_f[jb]
+                is_comp = kinds == OP_COMPUTE
+                crashed = (pack.vuln[jb] | is_comp) & (t_fail < od)
+                times[dirty] += np.where(crashed, t_fail, od)
+                counters["fail_stop_errors"][dirty[crashed]] += 1
+                if crashed.any():
+                    recover.append(dirty[crashed])
+                ok = ~crashed
+
+                # Compute chunks executed while corrupted: more strikes stack.
+                comp = ok & is_comp
+                cidx = dirty[comp]
+                if cidx.size:
+                    t_strike = np.full(cidx.size, np.inf)
+                    pack.fill(std_exp, t_strike, pack.bounds(cidx), pack.has_s)
+                    t_strike *= pack.scale_s[jb[comp]]
+                    struck = t_strike < od[comp]
+                    pending[cidx] += struck
+                    counters["silent_errors"][cidx] += struck
+                pc[cidx] += 1
+
+                ver = ok & (kinds == OP_VERIFY)
+                vidx = dirty[ver]
+                if vidx.size:
+                    gv = g[ver]
+                    guaranteed = pack.guar_cat[gv]
+                    counters["guaranteed_verifications"][vidx[guaranteed]] += 1
+                    counters["partial_verifications"][vidx[~guaranteed]] += 1
+                    p_det = detection_probability(
+                        pack.recalls_cat[gv], pending[vidx]
                     )
-                    t_rec *= pack.scale_f[dj]
-                    R_M = pack.R_M[dj]
-                    esc = t_rec < R_M
-                    times[didx] += np.where(esc, t_rec, R_M)
-                    counters["fail_stop_errors"][didx[esc]] += 1
-                    good = didx[~esc]
-                    counters["memory_recoveries"][good] += 1
-                    # Roll the segment back to its first operation.
-                    gj = row_job[good]
-                    pc[good] = pack.segstart_cat[op_off[gj] + pc[good]]
-                    pending[good] = 0
-                    if esc.any():
-                        recover.append(didx[esc])
+                    u = np.empty(vidx.size, dtype=np.float64)
+                    pack.fill(pack.uniform, u, pack.bounds(vidx), True)
+                    detected = u < p_det
+                    counters["silent_detections_guaranteed"][
+                        vidx[detected & guaranteed]
+                    ] += 1
+                    counters["silent_detections_partial"][
+                        vidx[detected & ~guaranteed]
+                    ] += 1
+                    pc[vidx[~detected]] += 1
+                    didx = vidx[detected]
+                    if didx.size:
+                        # Memory recovery; a fail-stop hit during it escalates
+                        # to a disk recovery and a pattern restart.
+                        dj = row_job[didx]
+                        t_rec = np.full(didx.size, np.inf)
+                        pack.fill(
+                            std_exp, t_rec, pack.bounds(didx), pack.mem_draw
+                        )
+                        t_rec *= pack.scale_f[dj]
+                        R_M = pack.R_M[dj]
+                        esc = t_rec < R_M
+                        times[didx] += np.where(esc, t_rec, R_M)
+                        counters["fail_stop_errors"][didx[esc]] += 1
+                        good = didx[~esc]
+                        counters["memory_recoveries"][good] += 1
+                        # Roll the segment back to its first operation.
+                        gj = row_job[good]
+                        pc[good] = pack.segstart_cat[op_off[gj] + pc[good]]
+                        pending[good] = 0
+                        if esc.any():
+                            recover.append(didx[esc])
 
-            # Checkpoints are unreachable with a pending corruption (the
-            # guaranteed verification always detects first), but handle
-            # them anyway so the loop is total.
-            midx = dirty[ok & (kinds == OP_MEM_CKPT)]
-            counters["memory_checkpoints"][midx] += 1
-            pc[midx] += 1
-            dcidx = dirty[ok & (kinds == OP_DISK_CKPT)]
-            counters["disk_checkpoints"][dcidx] += 1
-            pc[dcidx] = row_n_ops[dcidx]
+                # Checkpoints are unreachable with a pending corruption (the
+                # guaranteed verification always detects first), but handle
+                # them anyway so the loop is total.
+                midx = dirty[ok & (kinds == OP_MEM_CKPT)]
+                counters["memory_checkpoints"][midx] += 1
+                pc[midx] += 1
+                dcidx = dirty[ok & (kinds == OP_DISK_CKPT)]
+                counters["disk_checkpoints"][dcidx] += 1
+                pc[dcidx] = row_n_ops[dcidx]
 
-        # ---- disk recovery + pattern restart ------------------------------
-        if recover:
-            ri = recover[0] if len(recover) == 1 else np.concatenate(recover)
-            _recover_packed(pack, ri, times, counters, max_sweeps)
-            pc[ri] = 0
-            pending[ri] = 0
+            # ---- disk recovery + pattern restart --------------------------
+            if recover:
+                ri = (
+                    recover[0] if len(recover) == 1
+                    else np.concatenate(recover)
+                )
+                _recover_packed(pack, ri, times, counters, max_sweeps)
+                pc[ri] = 0
+                pending[ri] = 0
 
-        active = active[pc[active] < row_n_ops[active]]
+            active = active[pc[active] < row_n_ops[active]]
 
     last_batch_stats.clear()
     last_batch_stats.update(

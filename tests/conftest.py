@@ -17,7 +17,7 @@ def _fresh_campaign_pool():
     an earlier test would miss a later test's monkeypatches.
     """
     yield
-    from repro.campaign.executor import _close_campaign_pool
+    from repro.campaign.pool import _close_campaign_pool
 
     _close_campaign_pool()
 

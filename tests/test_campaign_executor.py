@@ -13,11 +13,11 @@ from repro.campaign.executor import (
     evaluate_point,
     run_campaign,
 )
+from repro.campaign.pool import EvalFleet, PoisonPointError, _evaluate_bucket
 from repro.campaign.report import journal_records
 from repro.campaign.spec import CampaignSpec, ScenarioPoint, platform_to_dict
 from repro.core.builders import PatternKind
-from repro.service.faults import FaultInjector, FaultPlan, PoisonPointError
-from repro.service.fleet import EvalFleet, _evaluate_bucket
+from repro.service.faults import FaultInjector, FaultPlan
 from repro.simulation.runner import simulate_optimal_pattern
 
 
@@ -301,7 +301,7 @@ class TestDefaultWorkers:
     def test_worker_count_capped_at_points(self, tiny_platform, monkeypatch):
         """Explicit workers beyond the outstanding points fork one
         process per point, no more."""
-        import repro.service.fleet as fleet_mod
+        import repro.campaign.pool as fleet_mod
 
         sizes = []
         real_fleet = fleet_mod.EvalFleet
@@ -310,7 +310,7 @@ class TestDefaultWorkers:
             sizes.append(procs)
             return real_fleet(procs, **kwargs)
 
-        monkeypatch.setattr("repro.service.fleet.EvalFleet", spy_fleet)
+        monkeypatch.setattr("repro.campaign.pool.EvalFleet", spy_fleet)
         points = _points(tiny_platform)
         result = run_campaign(points, n_workers=64)
         assert sizes == [len(points)]
@@ -325,7 +325,7 @@ class TestDefaultWorkers:
         def no_pool(*args, **kwargs):
             raise AssertionError("forked a worker pool on one CPU")
 
-        monkeypatch.setattr("repro.service.fleet.EvalFleet", no_pool)
+        monkeypatch.setattr("repro.campaign.pool.EvalFleet", no_pool)
         points = _points(tiny_platform)
         result = run_campaign(points)
         assert result.n_computed == len(points)
@@ -389,7 +389,7 @@ class TestCampaignCrashRecovery:
         marker = tmp_path / "crashed"
         monkeypatch.setitem(globals(), "_CRASH_MARKER", str(marker))
         monkeypatch.setattr(
-            "repro.service.fleet._evaluate_bucket", _crash_once_then_evaluate
+            "repro.campaign.pool._evaluate_bucket", _crash_once_then_evaluate
         )
         points = _crash_points(tiny_platform)
         crashed = run_campaign(points, n_workers=2)
@@ -405,7 +405,7 @@ class TestCampaignCrashRecovery:
         (poison_key,) = [k for k, p in zip(keys, points) if p.seed == 666]
         journal = tmp_path / "j.jsonl"
         monkeypatch.setattr(
-            "repro.service.fleet.EvalFleet",
+            "repro.campaign.pool.EvalFleet",
             functools.partial(
                 EvalFleet,
                 injector=FaultInjector(FaultPlan.parse("poison@666")),

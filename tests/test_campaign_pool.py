@@ -18,12 +18,13 @@ import time
 
 import pytest
 
-import repro.service.fleet as fleet_mod
+import repro.campaign.pool as fleet_mod
 from repro.campaign import executor
 from repro.campaign.cache import cache_key
 from repro.campaign.executor import run_campaign
+from repro.campaign.pool import PoisonPointError
 from repro.campaign.spec import ScenarioPoint, platform_to_dict
-from repro.service.faults import FaultInjector, FaultPlan, PoisonPointError
+from repro.service.faults import FaultInjector, FaultPlan
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -55,7 +56,7 @@ def forks(monkeypatch):
         sizes.append(procs)
         return real_fleet(procs, **kwargs)
 
-    monkeypatch.setattr("repro.service.fleet.EvalFleet", spy_fleet)
+    monkeypatch.setattr("repro.campaign.pool.EvalFleet", spy_fleet)
     return sizes
 
 
@@ -90,11 +91,11 @@ class TestReuse:
         two buckets at a time."""
         monkeypatch.setitem(globals(), "_SPANS_DIR", str(tmp_path))
         monkeypatch.setattr(
-            "repro.service.fleet._evaluate_bucket", _timed_bucket
+            "repro.campaign.pool._evaluate_bucket", _timed_bucket
         )
         points = _points(tiny_platform, range(200, 212))
         run_campaign(points[:3], n_workers=3)
-        assert executor._pool.procs == 3
+        assert fleet_mod._pool.procs == 3
         for name in os.listdir(tmp_path):
             os.remove(tmp_path / name)
         records = run_campaign(points, n_workers=2, pack_rows=1).records
@@ -112,9 +113,9 @@ class TestReuse:
     def test_close_campaign_pool(self, tiny_platform):
         points = _points(tiny_platform)
         run_campaign(points, n_workers=2)
-        resident = executor._pool
-        executor._close_campaign_pool()
-        assert executor._pool is None
+        resident = fleet_mod._pool
+        fleet_mod._close_campaign_pool()
+        assert fleet_mod._pool is None
         with pytest.raises(RuntimeError, match="closed"):
             resident.evaluate(points)
 
@@ -173,7 +174,7 @@ class TestFailure:
         next campaign's."""
         monkeypatch.setitem(globals(), "_CALLS_DIR", str(tmp_path))
         monkeypatch.setattr(
-            "repro.service.fleet._evaluate_bucket", _slow_or_raise
+            "repro.campaign.pool._evaluate_bucket", _slow_or_raise
         )
         doomed = _points(tiny_platform, range(24))
         with pytest.raises(RuntimeError, match="seed 0"):
@@ -192,7 +193,7 @@ class TestFailure:
         """A quarantining run leaves the pool usable; the poison point
         stays quarantined on it."""
         monkeypatch.setattr(
-            "repro.service.fleet.EvalFleet",
+            "repro.campaign.pool.EvalFleet",
             functools.partial(
                 fleet_mod.EvalFleet,  # the spy
                 injector=FaultInjector(FaultPlan.parse("poison@666")),
@@ -266,7 +267,7 @@ class TestConcurrency:
         assert not errors
         assert got == expected
         assert 3 in forks
-        assert executor._pool.procs == 3
+        assert fleet_mod._pool.procs == 3
         assert len(multiprocessing.active_children()) == 3
 
     def test_crashes_are_blamed_on_their_own_campaign(
@@ -283,9 +284,9 @@ class TestConcurrency:
             fleets.append(real_fleet(procs, injector=injector, **kwargs))
             return fleets[-1]
 
-        monkeypatch.setattr("repro.service.fleet.EvalFleet", poisoned_fleet)
+        monkeypatch.setattr("repro.campaign.pool.EvalFleet", poisoned_fleet)
         monkeypatch.setattr(
-            "repro.service.fleet._evaluate_bucket", _slow_clean_bucket
+            "repro.campaign.pool._evaluate_bucket", _slow_clean_bucket
         )
         poisoned = _points(tiny_platform, [666, 1, 2, 3, 4, 5, 6, 7])
         clean = _points(tiny_platform, range(300, 302))
@@ -324,6 +325,7 @@ class TestConcurrency:
 _TWO_CAMPAIGNS = """
 import json, multiprocessing, sys
 from repro.campaign.executor import run_campaign
+from repro.campaign.pool import PoisonPointError
 from repro.campaign.spec import CampaignSpec
 for seed in (1, 2):
     spec = CampaignSpec(name="c", scenario="family_comparison",
@@ -356,7 +358,7 @@ class TestProcessLifetime:
         points = _points(tiny_platform, range(80, 86))
         expected = _serial(points)
         assert run_campaign(points, n_workers=2).records == expected
-        parent_pool = executor._pool
+        parent_pool = fleet_mod._pool
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # child: report, close its own pool, never return
@@ -365,9 +367,9 @@ class TestProcessLifetime:
                 report = {
                     "forks": forks,
                     "exact": records == expected,
-                    "own": executor._pool is not parent_pool,
+                    "own": fleet_mod._pool is not parent_pool,
                 }
-                executor._close_campaign_pool()
+                fleet_mod._close_campaign_pool()
                 os.write(write_fd, json.dumps(report).encode())
             finally:
                 os._exit(0)
@@ -382,6 +384,6 @@ class TestProcessLifetime:
         os.waitpid(pid, 0)
         assert report == {"forks": [2, 2], "exact": True, "own": True}
         # The parent's pool survived the child's close.
-        assert executor._pool is parent_pool
+        assert fleet_mod._pool is parent_pool
         assert run_campaign(points, n_workers=2).records == expected
         assert forks == [2]

@@ -21,9 +21,9 @@ from repro.campaign.executor import (
     run_campaign,
 )
 from repro.campaign.planner import plan_buckets
+from repro.campaign.pool import EvalFleet
 from repro.campaign.spec import ScenarioPoint, platform_to_dict
 from repro.platforms.platform import Platform, default_costs
-from repro.service.fleet import EvalFleet
 
 
 def _platform(lambda_f=4e-4):

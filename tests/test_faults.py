@@ -29,15 +29,17 @@ import pytest
 from repro.campaign.executor import evaluate_point, evaluate_points
 from repro.cli import main
 from repro.service.client import ServiceClient, ServiceError
+from repro.campaign.pool import (
+    EvalFleet,
+    FleetUnavailableError,
+    PoisonPointError,
+)
 from repro.service.faults import (
     FaultInjector,
     FaultPlan,
-    FleetUnavailableError,
     InjectedFault,
-    PoisonPointError,
     wrap_evaluate,
 )
-from repro.service.fleet import EvalFleet
 from repro.service.protocol import point_from_request
 from repro.service.scheduler import MicroBatchScheduler
 from repro.service.server import BackgroundService, _write_port_file
@@ -162,6 +164,38 @@ class TestFaultInjector:
         counters = injector.stats()["counters"]
         assert counters["delays_injected"] == 1
         assert counters["raises_injected"] == 1
+
+
+class TestFaultScheduleParity:
+    @pytest.mark.parametrize("eval_procs", [0, 2])
+    def test_raise_and_delay_fire_at_the_same_ordinals(self, eval_procs):
+        """One raise/delay path: in-process and pooled daemons fire the
+        schedule at the same evaluation calls with the same outcome."""
+        points = _points(3, seed0=46000)
+        with BackgroundService(
+            batch_window_ms=0,
+            eval_procs=eval_procs,
+            faults="raise@2,delay@1:0.01",
+        ) as svc:
+            with ServiceClient(port=svc.port) as client:
+                # One single-point request per batch: batch N is
+                # evaluation call N.
+                results = [client.evaluate([p]) for p in points]
+                faults = client.stats()["faults"]
+        assert [r.n_failed for r in results] == [0, 1, 0]
+        assert [r.records[0] for r in results] == [
+            evaluate_point(points[0]),
+            {"error": "injected evaluation failure (eval call 2)"},
+            evaluate_point(points[2]),
+        ]
+        assert faults["plan"] == "raise@2,delay@1:0.01"
+        assert faults["counters"] == {
+            "kills_injected": 0,
+            "raises_injected": 1,
+            "delays_injected": 1,
+            "drops_injected": 0,
+        }
+        assert faults["ordinals"]["eval_calls"] == 3
 
 
 # -- fleet crash recovery ----------------------------------------------------

@@ -1,6 +1,6 @@
 """Process-fleet evaluation: bit-identity, planning, stats, HTTP.
 
-The load-bearing assertion: :class:`~repro.service.fleet.EvalFleet`
+The load-bearing assertion: :class:`~repro.campaign.pool.EvalFleet`
 records are **bit-identical** to solo
 :func:`~repro.campaign.executor.evaluate_point` runs under *any*
 worker count -- ``tier_rng``'s placement-invariant per-point streams
@@ -11,8 +11,8 @@ changes throughput and nothing else.
 import pytest
 
 from repro.campaign.executor import evaluate_point
+from repro.campaign.pool import EvalFleet
 from repro.service.client import ServiceClient
-from repro.service.fleet import EvalFleet
 from repro.service.protocol import point_from_request
 from repro.service.server import BackgroundService
 

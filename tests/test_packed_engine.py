@@ -14,6 +14,9 @@ zero-rate corners), plus the dispatch-level guarantees of the
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -239,3 +242,22 @@ def test_numpy_stream_identities():
 
     np.random.default_rng(7).random(out=buf)
     assert np.array_equal(buf, np.random.default_rng(7).random(97))
+
+
+@pytest.mark.parametrize("engine", ["fast", "packed"])
+def test_subnormal_rates_never_strike_and_never_warn(engine):
+    """Rates below about 1e-306 overflow the exponential scales to inf,
+    which is the intended "no strike", without a RuntimeWarning."""
+    pattern = optimal_pattern(PatternKind.PDMV, hera()).pattern
+    platform = dataclasses.replace(hera(), lambda_f=1e-310, lambda_s=1e-310)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = run_stats(
+            pattern, platform, n_patterns=4, n_runs=8, seed=7, engine=engine
+        )
+    assert out.tier.value == engine
+    assert len(out.runs) == 8
+    for run in out.runs:
+        assert run.fail_stop_errors == 0
+        assert run.silent_errors == 0
+        assert run.patterns_completed == 4

@@ -12,8 +12,8 @@ import pytest
 
 from repro.campaign.executor import run_campaign
 from repro.campaign.planner import DEFAULT_PACK_ROWS, plan_buckets
+from repro.campaign.pool import EvalFleet
 from repro.campaign.spec import ScenarioPoint, platform_to_dict
-from repro.service.fleet import EvalFleet
 from repro.simulation.runner import simulate_optimal_pattern
 
 
@@ -111,7 +111,7 @@ class TestStepEnginePool:
         def no_pool(*args, **kwargs):
             raise AssertionError("forked a worker pool for one worker")
 
-        monkeypatch.setattr("repro.service.fleet.EvalFleet", no_pool)
+        monkeypatch.setattr("repro.campaign.pool.EvalFleet", no_pool)
         points = _points(
             tiny_platform, (2, 3), engine="step", n_patterns=3, n_runs=4
         )
@@ -164,7 +164,7 @@ class TestDefaultWorkers:
         def no_pool(*args, **kwargs):
             raise AssertionError("forked a worker pool on one CPU")
 
-        monkeypatch.setattr("repro.service.fleet.EvalFleet", no_pool)
+        monkeypatch.setattr("repro.campaign.pool.EvalFleet", no_pool)
         points = _points(tiny_platform, (7, 8), engine="step")
         result = run_campaign(points)
         _assert_matches_direct(result.records, points, tiny_platform)
