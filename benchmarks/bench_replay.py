@@ -9,15 +9,16 @@ recording p50/p95/p99 latency and throughput per shape into
 
 The second arm compares batching modes: the same bursty trace is
 replayed against (a) a static daemon at the default 5 ms collection
-window and (b) an adaptive daemon (``autotune=True``), whose scheduler
-sets its own window from the compute-arrival rate it counts
-(:mod:`repro.service.scheduler`).  Under mostly-quiet bursty traffic
-the static window taxes every quiet-phase request ~5 ms of pure
-waiting; the adaptive window drops to its floor between bursts and
-widens when the rate spikes, so the adaptive median must beat the
-static median by the asserted floor.  That assertion is the
-benchmark's point: adaptive batching is a measured SLO win, not a
-microbenchmark claim.
+window and (b) an adaptive daemon at ``batch_window_ms=0``, which
+batches when busy: a lone request is dispatched at once, and whatever
+queues while the scheduler's one evaluation slot is busy becomes the
+next batch (:mod:`repro.service.scheduler`).  Under mostly-quiet
+bursty traffic the static window taxes every quiet-phase request ~5 ms
+of pure waiting, while the adaptive daemon's batches grow only when
+requests pile up, so the adaptive median must beat the static median
+by the asserted floor.  That assertion is the benchmark's point:
+batching when busy is a measured SLO win, not a microbenchmark
+claim.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) shrinks the traces,
 relaxes the floor to absorb shared-runner noise, and leaves the
@@ -52,9 +53,9 @@ BURSTY_BASE_RATE = 15.0
 BURSTY_DURATION_S = 3.0 if SMOKE else 6.0
 
 #: The adaptive p50 must beat the static p50 by at least this ratio
-#: (static/adaptive).  The measured gap on a development box is ~2x
-#: (static ~= engine + 5 ms window, adaptive ~= engine + floor); the
-#: smoke floor only demands adaptive not lose.
+#: (static/adaptive).  The measured gap on a development box is ~4x
+#: (static ~= engine + 5 ms window, adaptive ~= engine); the smoke
+#: floor only demands adaptive not lose.
 MIN_P50_RATIO = 1.0 if SMOKE else 1.2
 
 SEED = 20160601
@@ -108,17 +109,14 @@ def test_replay_slo_trajectories():
         shock_rate=0.5,
         shock_decay_s=0.4,
     )
-    # The first ~second covers rate-estimate convergence from zero;
-    # the generous warm-up drop keeps both arms' steady state in frame
-    # (the same drop applies to the static arm).
+    # The generous warm-up drop keeps both arms' steady state in frame
+    # (the same drop applies to both arms).
     with BackgroundService() as svc:
         static = _slim(_replay(svc.port, bursty, warmup_frac=0.2))
-    with BackgroundService(autotune=True) as svc:
+    with BackgroundService(batch_window_ms=0) as svc:
+        adaptive = _slim(_replay(svc.port, bursty, warmup_frac=0.2))
         with ServiceClient(port=svc.port) as client:
-            start_window = client.stats()["autotune"]["window_ms"]
-            adaptive = _slim(_replay(svc.port, bursty, warmup_frac=0.2))
-            stats = client.stats()
-    final_window = stats["autotune"]["window_ms"]
+            counters = client.stats()["counters"]
     ratio = static["p50_ms"] / adaptive["p50_ms"]
     print(
         f"\n bursty x static:   p50 {static['p50_ms']:7.2f} ms, "
@@ -126,9 +124,8 @@ def test_replay_slo_trajectories():
         f"\n bursty x adaptive: p50 {adaptive['p50_ms']:7.2f} ms, "
         f"p99 {adaptive['p99_ms']:7.2f} ms"
         f"\n adaptive p50 advantage: {ratio:.2f}x "
-        f"(floor {MIN_P50_RATIO:g}x); window {start_window:.2f} -> "
-        f"{final_window:.2f} ms, smoothed rate "
-        f"{stats['autotune']['rate_rps']:.1f} pts/s"
+        f"(floor {MIN_P50_RATIO:g}x); {counters['batches']} batches, "
+        f"largest {counters['max_batch_points']} points"
     )
 
     if not SMOKE:
@@ -146,15 +143,11 @@ def test_replay_slo_trajectories():
                 "bursty_static": static,
                 "bursty_adaptive": adaptive,
                 "adaptive_p50_advantage": ratio,
-                "adaptive_final_window_ms": final_window,
-                "adaptive_final_rate_rps": stats["autotune"]["rate_rps"],
             },
         )
 
-    # The scheduler must have actually moved its window...
-    assert final_window != start_window
-    # ...and the adaptive window must pay: the adaptive median beats
-    # the static default window on the bursty trace by the floor.
+    # Batching when busy must pay: the adaptive median beats the
+    # static default window on the bursty trace by the floor.
     assert ratio >= MIN_P50_RATIO, (
         f"adaptive p50 {adaptive['p50_ms']:.2f} ms vs static "
         f"{static['p50_ms']:.2f} ms: ratio {ratio:.2f} below floor "

@@ -30,7 +30,7 @@ Usage::
     repro-patterns submit --scenario platform_catalog --client alice
     repro-patterns jobs
     repro-patterns results --job j0123456789ab --json records.json
-    repro-patterns serve --autotune --cache-dir .repro-cache
+    repro-patterns serve --batch-window-ms 0 --cache-dir .repro-cache
     repro-patterns loadtest --shape bursty --rate 40 --duration 5
     repro-patterns loadtest --trace trace.jsonl --assert-p99-ms 250
 
@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batch-window-ms", type=float, default=None,
         help="micro-batch collection window in ms (default 5; 0 "
-        "dispatches immediately)",
+        "batches when busy: a batch is whatever queued while the "
+        "previous one evaluated)",
     )
     p.add_argument(
         "--pack-rows", type=int, default=None,
@@ -324,10 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mem-entries", type=int, default=None,
         help="in-memory LRU result tier size (default: 4096 entries)",
-    )
-    p.add_argument(
-        "--eval-workers", type=int, default=None,
-        help="evaluation thread count (default: 2)",
     )
     p.add_argument(
         "--cache-dir",
@@ -348,14 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--job-inflight", type=int, default=None,
         help="concurrently dispatched job buckets across all jobs "
         "(default: 2)",
-    )
-    p.add_argument(
-        "--autotune", action="store_true",
-        help="let the scheduler set its own batch window (0.5-25 ms) "
-        "from the compute-arrival rate it counts, instead of "
-        "--batch-window-ms: quiet traffic gets a near-zero window, "
-        "bursts get a wide one; the live window, rate and rows per "
-        "point appear in /v1/stats",
     )
     p.add_argument(
         "--eval-procs", type=int, default=None, metavar="N",
@@ -850,14 +839,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config.pack_rows = args.pack_rows
     if args.mem_entries is not None:
         config.mem_entries = args.mem_entries
-    if args.eval_workers is not None:
-        config.eval_workers = args.eval_workers
     config.cache_dir = args.cache_dir
     config.port_file = args.port_file
     config.jobs_dir = args.jobs_dir
     if args.job_inflight is not None:
         config.job_inflight = args.job_inflight
-    config.autotune = args.autotune
     if args.eval_procs is not None:
         config.eval_procs = args.eval_procs
     config.rate_rows_per_s = args.rate_rows_per_s
@@ -896,11 +882,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
 
     def announce(_scheduler, server) -> None:
-        batching = (
-            "adaptive"
-            if config.autotune
-            else f"window {config.batch_window_ms:g} ms"
-        )
         fleet = (
             f"fleet {config.eval_procs} procs"
             if config.eval_procs
@@ -914,7 +895,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"repro service listening on "
             f"http://{server.host}:{server.port} "
-            f"({batching}, "
+            f"(window {config.batch_window_ms:g} ms, "
             f"pack-rows {config.pack_rows}, "
             f"{fleet}, {admission}, "
             f"cache {config.cache_dir or 'memory-only'}, "

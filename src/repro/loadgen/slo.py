@@ -9,8 +9,7 @@ every latency number in the repository is computed the same way:
   that say nothing about steady-state SLOs; :func:`drop_warmup`
   excludes them before percentiles are taken.
 * **EWMA** -- the exponentially weighted moving average of latency in
-  completion order, the standard online health signal (and what the
-  adaptive batch window smooths arrival rate with).
+  completion order, the standard online health signal.
 * **summaries** -- p50/p95/p99/mean/max plus throughput over the
   measured (post-warm-up) span, overall and per request class.
 """

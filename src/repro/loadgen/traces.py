@@ -6,7 +6,7 @@ class label for per-class latency reporting.  Three built-in arrival
 shapes cover the interesting regimes:
 
 * ``constant`` -- equally spaced arrivals at the requested rate: the
-  steady-state shape the adaptive batch window must converge on.
+  steady-state shape.
 * ``poisson`` -- exponential inter-arrivals (memoryless noise), the
   canonical open-system model.
 * ``bursty`` -- a base Poisson process modulated by shock-and-decay

@@ -91,11 +91,6 @@ class FaultPlan:
             or self.crash_prewarm
         )
 
-    @property
-    def touches_eval(self) -> bool:
-        """Whether the plan raises or delays any evaluation call."""
-        return bool(self.raise_evals or self.delay_evals)
-
     def describe(self) -> str:
         """The canonical compact spec string for this plan."""
         parts = []

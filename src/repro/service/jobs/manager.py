@@ -55,9 +55,9 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
 #: Default cap on concurrently dispatched buckets across all jobs.  Two
-#: keeps one bucket evaluating while the next collects into the
-#: micro-batcher (mirroring the scheduler's two eval workers) without
-#: flooding the queue so far ahead that fair-share loses its grip.
+#: keeps one bucket in the scheduler's evaluation slot while the next
+#: queues behind it, without flooding the queue so far ahead that
+#: fair-share loses its grip.
 DEFAULT_MAX_INFLIGHT = 2
 
 

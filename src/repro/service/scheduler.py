@@ -13,22 +13,15 @@ each point the scheduler, in order:
    first enqueue -- or until ``pack_rows`` Monte-Carlo rows are queued
    -- so that points arriving together are evaluated together.
 
-With ``autotune`` on, the scheduler sets that window itself at the
-start of every collection.  It smooths its own compute-arrival rate
-(the ``computed`` counter over the loop clock; cache hits and coalesced
-duplicates need no batching and are excluded) with an EWMA and maps it
-through a bounded monotone ramp::
+Exactly one batch is in flight at a time.  Once the window closes, the
+drain loop waits for that **evaluation slot**; everything queued
+meanwhile (up to ``pack_rows``) becomes the next batch.  At
+``batch_window_ms=0`` this is batching when busy: a lone request is
+dispatched at once, and requests arriving while the engine works share
+the next batch, so batches grow with load and no rate estimate or
+tuning knob is needed.
 
-    window(rate) = floor + (ceil - floor) * clip((rate - low) / (high - low), 0, 1)
-
-Quiet traffic pays the 0.5 ms floor; bursts get up to 25 ms.  The
-window also closes early once about :data:`AUTOTUNE_BATCH_POINTS`
-points' rows are queued, at the smoothed rows per point.  The ramp and
-the EWMA are pure module functions (:func:`window_for_rate`,
-:func:`ewma`, :func:`rate_weight`) over module constants; there is no
-controller task and nothing to tune.
-
-A batch is evaluated on a small thread pool through
+A batch is evaluated on one resident thread through
 :func:`~repro.campaign.executor.evaluate_points` -- the one batch entry
 every execution path uses: analytic points grouped per family
 onto :mod:`repro.core.batch`, simulate points packed into one
@@ -36,10 +29,11 @@ struct-of-arrays mega-batch, everything else per point.  Each point's
 random stream comes from :func:`~repro.simulation.dispatch.tier_rng`
 (the grouping-invariant per-point derivation), so service records are
 **bit-identical** to solo CLI runs of the same points, whatever mix of
-requests they were batched with.  Threads -- not processes -- carry the
-work on purpose: the vectorised engines release the GIL inside their
-NumPy kernels, and a resident pool keeps the schedule/optimisation
-memo caches hot across requests, which is the point of a daemon.
+requests they were batched with.  A thread -- not a process -- carries
+the work on purpose: the vectorised engines release the GIL inside
+their NumPy kernels, so the event loop keeps collecting while a batch
+runs, and the daemon's process keeps the schedule/optimisation memo
+caches hot across requests, which is the point of a daemon.
 
 Completed records are written through the tiered cache and fanned back
 to every awaiting future.  All counters are surfaced via :meth:`stats`
@@ -80,11 +74,6 @@ from repro.spans import BatchSink, run_with_sink
 #: land in one batch; short enough to be invisible next to engine time.
 DEFAULT_WINDOW_MS = 5.0
 
-#: Default evaluation thread count.  Two lets one batch evaluate while
-#: the next collects; the NumPy kernels release the GIL so this is real
-#: overlap, not time slicing.
-DEFAULT_EVAL_WORKERS = 2
-
 #: Consecutive fleet-infrastructure failures before the circuit breaker
 #: stops trying the fleet and routes every batch to the in-process
 #: fallback.
@@ -93,55 +82,6 @@ DEFAULT_FLEET_FAILURE_THRESHOLD = 3
 #: Evaluate failures that mean "the evaluator is gone", not "this batch
 #: is bad": the fallback gets the batch and the circuit breaker counts.
 FLEET_INFRA_ERRORS = (FleetUnavailableError, BrokenProcessPool)
-
-#: Adaptive window bounds (ms).  The floor is the quiet-traffic window:
-#: near zero, so light load pays almost no batching tax.
-AUTOTUNE_WINDOW_FLOOR_MS = 0.5
-AUTOTUNE_WINDOW_CEIL_MS = 25.0
-#: The ramp's knee (computed points/s): at or below the low rate the
-#: window sits on the floor, at or above the high rate on the ceiling,
-#: linear in between.  A process fleet scales both by its size.
-AUTOTUNE_LOW_RATE_RPS = 20.0
-AUTOTUNE_HIGH_RATE_RPS = 400.0
-#: EWMA weight of the newest sample; for the rate it is the weight of
-#: one :data:`AUTOTUNE_RATE_INTERVAL_S` of elapsed time.
-AUTOTUNE_ALPHA = 0.3
-AUTOTUNE_RATE_INTERVAL_S = 0.1
-#: An adaptive window closes early once this many points' rows queue.
-AUTOTUNE_BATCH_POINTS = 64
-
-
-def window_for_rate(rate_rps: float) -> float:
-    """The adaptive window (ms) for a compute-arrival rate (points/s)."""
-    frac = (max(0.0, rate_rps) - AUTOTUNE_LOW_RATE_RPS) / (
-        AUTOTUNE_HIGH_RATE_RPS - AUTOTUNE_LOW_RATE_RPS
-    )
-    window = AUTOTUNE_WINDOW_FLOOR_MS + (
-        AUTOTUNE_WINDOW_CEIL_MS - AUTOTUNE_WINDOW_FLOOR_MS
-    ) * min(1.0, max(0.0, frac))
-    # The arithmetic can round a hair past the bounds; the bounds are
-    # the contract, so clamp.
-    return min(AUTOTUNE_WINDOW_CEIL_MS, max(AUTOTUNE_WINDOW_FLOOR_MS, window))
-
-
-def ewma(
-    previous: Optional[float], sample: float, weight: float = AUTOTUNE_ALPHA
-) -> float:
-    """One EWMA step; the first sample (``previous is None``) seeds it."""
-    if previous is None:
-        return sample
-    return previous + weight * (sample - previous)
-
-
-def rate_weight(dt_s: float) -> float:
-    """EWMA weight of a rate sample spanning ``dt_s`` seconds.
-
-    :data:`AUTOTUNE_ALPHA` per :data:`AUTOTUNE_RATE_INTERVAL_S`, so a
-    long idle gap decays the rate as far as that many interval samples
-    of its average would -- whether or not anything arrived meanwhile.
-    """
-    return 1.0 - (1.0 - AUTOTUNE_ALPHA) ** (dt_s / AUTOTUNE_RATE_INTERVAL_S)
-
 
 #: A settled per-key outcome: the result record, or the exception the
 #: computation raised.
@@ -202,14 +142,11 @@ class MicroBatchScheduler:
     batch_window_ms:
         How long the drain loop waits after the first enqueue before
         cutting a batch, letting concurrent requests pile in.  ``0``
-        dispatches immediately (whatever is queued at that instant
-        still forms one batch).
+        dispatches as soon as the evaluation slot is free, so batches
+        form only from what queues while the engine is busy.
     pack_rows:
         Row budget per batch; a full budget cuts the batch early and
         oversized queues split into several batches.
-    eval_workers:
-        Evaluation thread count (see the module docstring for why
-        threads).
     evaluate:
         The batch evaluation function, ``points -> records`` in order.
         Defaults to :func:`~repro.campaign.executor.evaluate_points`;
@@ -226,15 +163,6 @@ class MicroBatchScheduler:
         ``/v1/stats``).
     fleet_failure_threshold:
         Consecutive fleet failures that open the circuit breaker.
-    autotune:
-        Set the window from the observed compute-arrival rate at the
-        start of each collection (see the module docstring) instead of
-        using ``batch_window_ms``, which then only reports the live
-        window.
-    knee_scale:
-        Multiplier on the adaptive ramp's knee rates: a fleet of N
-        processes absorbs about N times the arrival rate before
-        batching pays, so the server passes its fleet size.
     """
 
     def __init__(
@@ -243,7 +171,6 @@ class MicroBatchScheduler:
         *,
         batch_window_ms: float = DEFAULT_WINDOW_MS,
         pack_rows: int = DEFAULT_PACK_ROWS,
-        eval_workers: int = DEFAULT_EVAL_WORKERS,
         evaluate: Optional[
             Callable[[List[ScenarioPoint]], List[Dict[str, Any]]]
         ] = None,
@@ -252,8 +179,6 @@ class MicroBatchScheduler:
         ] = None,
         fleet_failure_threshold: int = DEFAULT_FLEET_FAILURE_THRESHOLD,
         obs: Optional[Observability] = None,
-        autotune: bool = False,
-        knee_scale: float = 1.0,
     ):
         if batch_window_ms < 0:
             raise ValueError(
@@ -261,10 +186,6 @@ class MicroBatchScheduler:
             )
         if pack_rows < 1:
             raise ValueError(f"pack_rows must be >= 1, got {pack_rows}")
-        if eval_workers < 1:
-            raise ValueError(
-                f"eval_workers must be >= 1, got {eval_workers}"
-            )
         if fleet_failure_threshold < 1:
             raise ValueError(
                 f"fleet_failure_threshold must be >= 1, got "
@@ -283,14 +204,6 @@ class MicroBatchScheduler:
         self._cache = cache
         self.batch_window_ms = float(batch_window_ms)
         self.pack_rows = int(pack_rows)
-        self.eval_workers = int(eval_workers)
-        self.autotune = bool(autotune)
-        self.knee_scale = float(knee_scale)
-        #: Adaptive state: the smoothed rate and rows per point, and
-        #: the counters and loop time of the last rate sample.
-        self._rate_rps = 0.0
-        self._rows_per_point: Optional[float] = None
-        self._sampled = (0, 0, 0.0)
 
         #: Observability hub; ``None`` keeps every hook a no-op.
         self._obs = obs
@@ -301,7 +214,8 @@ class MicroBatchScheduler:
         #: tracing is on, so a coalescing request can attach its trace
         #: to the computation it joined.
         self._pending_by_key: Dict[str, _Pending] = {}
-        self._batch_tasks: "set[asyncio.Task]" = set()
+        #: The evaluation slot: the one batch in flight, if any.
+        self._batch_task: Optional[asyncio.Task] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -336,25 +250,21 @@ class MicroBatchScheduler:
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         self._draining = False
-        self._sampled = (
-            self._counters["computed"],
-            self._counters["computed_rows"],
-            self._loop.time(),
-        )
         self._pool = ThreadPoolExecutor(
-            max_workers=self.eval_workers, thread_name_prefix="repro-eval"
+            max_workers=1, thread_name_prefix="repro-eval"
         )
         self._drain_task = self._loop.create_task(self._drain())
 
     async def close(self, *, flush: bool = False) -> None:
-        """Stop draining and finish in-flight batches.
+        """Stop draining and finish the in-flight batch.
 
         With ``flush=False`` (teardown) queued-but-unbatched points
         fail with a clear error.  With ``flush=True`` (graceful drain,
         the SIGTERM path) the remaining queue is cut into batches and
-        **evaluated** first, so every request already accepted gets a
-        real answer before the scheduler stops.  New submissions are
-        refused either way once closing begins.
+        **evaluated** through the same slot first, so every request
+        already accepted gets a real answer before the scheduler
+        stops.  New submissions are refused either way once closing
+        begins.
         """
         self._draining = True
         if self._drain_task is not None:
@@ -362,16 +272,11 @@ class MicroBatchScheduler:
             with suppress(asyncio.CancelledError):
                 await self._drain_task
             self._drain_task = None
+        await self._slot_free()
         if flush and self._loop is not None and self._pool is not None:
             while self._queue:
-                batch = self._take_batch()
-                task = self._loop.create_task(self._run_batch(batch))
-                self._batch_tasks.add(task)
-                task.add_done_callback(self._batch_tasks.discard)
-        if self._batch_tasks:
-            await asyncio.gather(
-                *list(self._batch_tasks), return_exceptions=True
-            )
+                self._start_batch(self._take_batch())
+                await self._slot_free()
         while self._queue:
             pending = self._queue.popleft()
             self._inflight.pop(pending.key, None)
@@ -527,7 +432,6 @@ class MicroBatchScheduler:
             "config": {
                 "batch_window_ms": self.batch_window_ms,
                 "pack_rows": self.pack_rows,
-                "eval_workers": self.eval_workers,
             },
             "counters": dict(self._counters),
             "inflight": len(self._inflight),
@@ -539,16 +443,6 @@ class MicroBatchScheduler:
             "cache": (
                 self._cache.stats() if self._cache is not None else None
             ),
-            "autotune": (
-                {
-                    "enabled": True,
-                    "window_ms": self.batch_window_ms,
-                    "rate_rps": self._rate_rps,
-                    "rows_per_point": self._rows_per_point,
-                }
-                if self.autotune
-                else {"enabled": False}
-            ),
         }
 
     # -- drain loop ---------------------------------------------------------
@@ -558,16 +452,13 @@ class MicroBatchScheduler:
             self._wake.clear()
             if not self._queue:
                 continue
-            cut_rows = self.pack_rows
-            if self.autotune:
-                cut_rows = min(cut_rows, self._retune())
             if self.batch_window_ms > 0:
                 # The micro-batching window: let concurrent requests
-                # pile onto the queue before cutting batches.  Every
+                # pile onto the queue before cutting a batch.  Every
                 # enqueue re-signals the wake event, so a burst that
                 # fills the row budget cuts the window short.
                 deadline = self._loop.time() + self.batch_window_ms / 1000.0
-                while self._queued_rows < cut_rows:
+                while self._queued_rows < self.pack_rows:
                     remaining = deadline - self._loop.time()
                     if remaining <= 0:
                         break
@@ -578,37 +469,25 @@ class MicroBatchScheduler:
                         )
                     except asyncio.TimeoutError:
                         break
+            # One batch in flight: whatever queues while the slot is
+            # busy (up to the row budget) becomes the next batch.
             while self._queue:
-                batch = self._take_batch()
-                task = self._loop.create_task(self._run_batch(batch))
-                self._batch_tasks.add(task)
-                task.add_done_callback(self._batch_tasks.discard)
+                await self._slot_free()
+                self._start_batch(self._take_batch())
 
-    def _retune(self) -> float:
-        """Set the adaptive window; return the early-cut row count.
+    async def _slot_free(self) -> None:
+        """Wait until no batch is in flight.
 
-        Samples the compute-arrival rate and rows per point since the
-        last collection from the scheduler's own counters.  The queue
-        is non-empty here, so at least one point arrived since then.
+        ``asyncio.wait`` rather than awaiting the task: cancelling the
+        drain loop (:meth:`close`) must not cancel the batch it waits on.
         """
-        points0, rows0, t0 = self._sampled
-        now = self._loop.time()
-        points = self._counters["computed"] - points0
-        rows = self._counters["computed_rows"] - rows0
-        if points > 0 and now > t0:
-            self._rate_rps = ewma(
-                self._rate_rps, points / (now - t0), rate_weight(now - t0)
-            )
-            self._rows_per_point = ewma(self._rows_per_point, rows / points)
-            self._sampled = (
-                self._counters["computed"],
-                self._counters["computed_rows"],
-                now,
-            )
-        self.batch_window_ms = window_for_rate(
-            self._rate_rps / self.knee_scale
-        )
-        return AUTOTUNE_BATCH_POINTS * (self._rows_per_point or 1.0)
+        if self._batch_task is not None:
+            await asyncio.wait((self._batch_task,))
+            self._batch_task = None
+
+    def _start_batch(self, batch: List[_Pending]) -> None:
+        """Occupy the evaluation slot with ``batch``."""
+        self._batch_task = self._loop.create_task(self._run_batch(batch))
 
     def _take_batch(self) -> List[_Pending]:
         """Pop queued points up to the row budget (at least one)."""

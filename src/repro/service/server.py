@@ -77,11 +77,7 @@ from repro.service.protocol import (
     evaluate_response,
     parse_evaluate_body,
 )
-from repro.service.scheduler import (
-    DEFAULT_EVAL_WORKERS,
-    DEFAULT_WINDOW_MS,
-    MicroBatchScheduler,
-)
+from repro.service.scheduler import DEFAULT_WINDOW_MS, MicroBatchScheduler
 
 #: Reject request bodies beyond this size (a 4096-point batch is ~2 MB).
 MAX_BODY_BYTES = 32 * 1024 * 1024
@@ -115,7 +111,6 @@ class ServiceConfig:
     batch_window_ms: float = DEFAULT_WINDOW_MS
     pack_rows: int = DEFAULT_PACK_ROWS
     mem_entries: int = DEFAULT_MEM_ENTRIES
-    eval_workers: int = DEFAULT_EVAL_WORKERS
     cache_dir: Optional[str] = None
     #: When set, the bound port is written here once listening --
     #: scripts starting a ``--port 0`` daemon poll this file.
@@ -125,10 +120,6 @@ class ServiceConfig:
     jobs_dir: Optional[str] = None
     #: Concurrently dispatched job buckets across all jobs.
     job_inflight: int = DEFAULT_MAX_INFLIGHT
-    #: Adaptive micro-batching: the scheduler sets its own window from
-    #: the compute-arrival rate it counts, ignoring ``batch_window_ms``
-    #: (:mod:`repro.service.scheduler`).
-    autotune: bool = False
     #: Resident evaluation processes (:mod:`repro.campaign.pool`).
     #: ``0`` keeps evaluation in-process (the single-core default);
     #: ``N >= 1`` fans scheduler batches out to N warm workers.
@@ -634,14 +625,9 @@ async def start_service(
         cache,
         batch_window_ms=config.batch_window_ms,
         pack_rows=config.pack_rows,
-        eval_workers=config.eval_workers,
         evaluate=evaluate,
         fallback_evaluate=evaluate_points if fleet is not None else None,
         obs=obs,
-        autotune=config.autotune,
-        # N fleet workers absorb ~N times the arrival rate before
-        # batching pays, so the window ramp's knee scales with them.
-        knee_scale=fleet.procs if fleet is not None else 1,
     )
     await scheduler.start()
     store = (

@@ -85,7 +85,6 @@ class TestFaultPlan:
         assert plan.poison_seeds == {666}
         assert plan.crash_prewarm
         assert plan.enabled
-        assert plan.touches_eval
 
     def test_parse_json_form(self):
         plan = FaultPlan.parse(

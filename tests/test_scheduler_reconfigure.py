@@ -1,24 +1,24 @@
-"""Self-retuning edge cases: the adaptive window never drops or duplicates.
+"""Batching when busy: a window-0 scheduler never drops or duplicates.
 
-With ``autotune`` on, :class:`MicroBatchScheduler` resets its own
-window at every collection, so the window changes *while the scheduler
-is batching*.  These tests pin the dangerous corners:
+At ``batch_window_ms=0`` :class:`MicroBatchScheduler` dispatches a lone
+point at once and batches whatever queues while its one evaluation
+slot is busy, so batch boundaries follow the load.  These tests pin the
+dangerous corners:
 
-* the window falling to its floor mid-stream under concurrent load --
-  answers keep flowing, each exactly once, equal to
-  :func:`evaluate_point`;
-* the window retuned while a slow batch is still evaluating -- the
-  next wave rides the next cut under the new window, none lost, none
-  evaluated twice;
+* concurrent bursts and a trickle -- answers keep flowing, each exactly
+  once, equal to :func:`evaluate_point`;
+* a wave arriving while a slow batch is still evaluating -- it rides
+  the next batch, none lost, none evaluated twice, and the two batches
+  never overlap;
 
 with the accounting cross-checked end-to-end through ``/v1/stats`` on
-a real daemon whose window moves during a replay
+a real window-0 daemon during a bursty replay
 (``points == cache_hits + coalesced + computed`` and
-``engine_points == computed`` -- the exactly-once ledger).
+``engine_points == computed`` -- the exactly-once ledger), whose
+answers equal :func:`evaluate_point` bit for bit.
 """
 
 import asyncio
-import threading
 import time
 
 from repro.campaign.executor import evaluate_point, evaluate_points
@@ -27,11 +27,8 @@ from repro.loadgen.replay import WorkloadReplayer
 from repro.loadgen.traces import make_trace
 from repro.platforms.catalog import hera
 from repro.service.client import ServiceClient
-from repro.service.scheduler import (
-    AUTOTUNE_WINDOW_CEIL_MS,
-    AUTOTUNE_WINDOW_FLOOR_MS,
-    MicroBatchScheduler,
-)
+from repro.service.protocol import point_from_request
+from repro.service.scheduler import MicroBatchScheduler
 from repro.service.server import BackgroundService
 
 PLATFORM = platform_to_dict(hera())
@@ -56,45 +53,44 @@ def _ledger_closes(counters):
 
 class TestZeroWindow:
     def test_reconfigure_to_zero_window_under_load(self):
-        """The window falls to its floor mid-stream; answers keep flowing."""
+        """Bursts and a trickle through a window-0 scheduler."""
+        seen = []
+
+        def counting_evaluate(points):
+            seen.extend(p.seed for p in points)
+            return evaluate_points(points)
 
         async def scenario():
-            scheduler = MicroBatchScheduler(cache=None, autotune=True)
+            scheduler = MicroBatchScheduler(
+                cache=None, batch_window_ms=0, evaluate=counting_evaluate
+            )
             await scheduler.start()
+
+            async def late(seed):
+                # Staggered arrivals: some land while a batch runs.
+                await asyncio.sleep(0.0005 * (seed % 7))
+                return await scheduler.submit([_point(seed)])
+
             try:
-                # Three back-to-back 32-point bursts push the rate past
-                # the knee...
                 burst = []
                 for wave in range(3):
                     burst += await asyncio.gather(
-                        *(
-                            scheduler.submit([_point(s)])
-                            for s in range(32 * wave, 32 * (wave + 1))
-                        )
+                        *(late(s) for s in range(32 * wave, 32 * (wave + 1)))
                     )
-                burst_window = scheduler.stats()["autotune"]["window_ms"]
-                # ...then a trickle, one point per 200 ms, decays it to
-                # the floor while requests are still arriving.
-                trickle, windows = [], []
+                trickle = []
                 for seed in range(96, 104):
-                    await asyncio.sleep(0.2)
+                    await asyncio.sleep(0.02)
                     trickle.append(await scheduler.submit([_point(seed)]))
-                    windows.append(scheduler.stats()["autotune"]["window_ms"])
-                return burst + trickle, burst_window, windows, scheduler.stats()
+                return burst + trickle, scheduler.stats()
             finally:
                 await scheduler.close()
 
-        results, burst_window, windows, stats = asyncio.run(scenario())
+        results, stats = asyncio.run(scenario())
         assert len(results) == 104
         for seed, (keys, (record,)) in zip(range(104), results):
             assert record == evaluate_point(_point(seed))
-        assert burst_window > AUTOTUNE_WINDOW_FLOOR_MS
-        # Fed ever sparser samples, the window only ever shrinks...
-        assert windows == sorted(windows, reverse=True)
-        assert windows[0] <= burst_window
-        # ...and ends on the floor, which config reports live.
-        assert windows[-1] == AUTOTUNE_WINDOW_FLOOR_MS
-        assert stats["config"]["batch_window_ms"] == AUTOTUNE_WINDOW_FLOOR_MS
+        assert sorted(seen) == list(range(104))
+        assert stats["config"]["batch_window_ms"] == 0
         counters = stats["counters"]
         assert counters["computed"] == 104
         assert counters["engine_points"] == 104
@@ -107,23 +103,21 @@ class TestZeroWindow:
 
 class TestReconfigureWhileDraining:
     def test_retune_during_slow_batch(self):
-        """A window retuned while the engine is busy never loses points."""
-        windows = []  # (window at call start, window at call end)
-        seen = []
+        """A wave arriving mid-batch rides the next batch, after it."""
+        calls = []  # (start, end, seeds) per evaluate call
+
+        def slow_evaluate(points):
+            start = time.perf_counter()
+            time.sleep(0.1)
+            records = evaluate_points(points)
+            calls.append(
+                (start, time.perf_counter(), [p.seed for p in points])
+            )
+            return records
 
         async def scenario():
-            scheduler = None
-
-            def slow_evaluate(points):
-                start = scheduler.batch_window_ms
-                time.sleep(0.1)
-                seen.extend(p.seed for p in points)
-                records = evaluate_points(points)
-                windows.append((start, scheduler.batch_window_ms))
-                return records
-
             scheduler = MicroBatchScheduler(
-                cache=None, autotune=True, evaluate=slow_evaluate
+                cache=None, batch_window_ms=0, evaluate=slow_evaluate
             )
             await scheduler.start()
 
@@ -135,8 +129,7 @@ class TestReconfigureWhileDraining:
 
             try:
                 # Wave 1 cuts a batch that holds the (slow) engine;
-                # wave 2 arrives 20 ms in, so its collection retunes
-                # the window while batch 1 is still evaluating.
+                # wave 2 arrives 20 ms in and queues behind it.
                 waves = await asyncio.gather(
                     wave(range(32), 0.0), wave(range(32, 40), 0.02)
                 )
@@ -148,16 +141,13 @@ class TestReconfigureWhileDraining:
         assert len(results) == 40
         for seed, (keys, (record,)) in zip(range(40), results):
             assert record == evaluate_point(_point(seed))
-        # Two batches, one per wave; the first saw the window move
-        # under it.
-        assert len(windows) == 2
-        (start1, end1), _ = windows
-        assert end1 != start1
-        for window in (start1, end1):
-            assert (
-                AUTOTUNE_WINDOW_FLOOR_MS <= window <= AUTOTUNE_WINDOW_CEIL_MS
-            )
-        assert sorted(seen) == list(range(40))
+        # Two batches, one per wave, the second started after the
+        # first ended.
+        assert [seeds for _, _, seeds in calls] == [
+            list(range(32)), list(range(32, 40))
+        ]
+        (_, end1, _), (start2, _, _) = calls
+        assert start2 >= end1
         counters = stats["counters"]
         assert counters["batches"] == 2
         assert counters["computed"] == 40
@@ -169,7 +159,7 @@ class TestReconfigureWhileDraining:
 
 class TestStatsLedgerOverHTTP:
     def test_reconfigure_ledger_via_v1_stats(self, tmp_path):
-        """The exactly-once ledger, asserted through a real daemon."""
+        """Exactly-once and bit-identical through a window-0 daemon."""
         trace = make_trace(
             "bursty",
             rate=40.0,
@@ -178,44 +168,19 @@ class TestStatsLedgerOverHTTP:
             shock_factor=8.0,
             shock_decay_s=0.3,
         )
-        windows = []
-        done = threading.Event()
-
         with BackgroundService(
-            cache_dir=str(tmp_path / "cache"), autotune=True
+            cache_dir=str(tmp_path / "cache"), batch_window_ms=0
         ) as svc:
-            # Read /v1/stats from another thread mid-replay, on its own
-            # connection, to watch the window move under the load.
-            def watch():
-                with ServiceClient(port=svc.port) as watcher:
-                    while not done.is_set():
-                        windows.append(
-                            watcher.stats()["autotune"]["window_ms"]
-                        )
-                        time.sleep(0.02)
-
-            thread = threading.Thread(target=watch)
-            thread.start()
-            try:
-                result = WorkloadReplayer(port=svc.port).run(trace)
-            finally:
-                done.set()
-                thread.join()
+            result = WorkloadReplayer(port=svc.port).run(trace)
             with ServiceClient(port=svc.port) as client:
                 stats = client.stats()
         assert all(r.ok for r in result.requests)
         assert len(result.requests) == len(trace)
-        # The window moved during the replay, inside its bounds.
-        assert len(set(windows)) > 1
-        for window in windows:
-            assert (
-                AUTOTUNE_WINDOW_FLOOR_MS <= window <= AUTOTUNE_WINDOW_CEIL_MS
-            )
-        assert stats["config"]["batch_window_ms"] == (
-            stats["autotune"]["window_ms"]
-        )
-        # Exactly-once accounting while the window moves: every
-        # submitted point is a cache hit, coalesced, or computed once.
+        for event, answer in zip(trace, result.result_records()):
+            assert answer == [evaluate_point(point_from_request(event.point))]
+        assert stats["config"]["batch_window_ms"] == 0
+        # Exactly-once accounting: every submitted point is a cache
+        # hit, coalesced, or computed once.
         counters = stats["counters"]
         assert counters["requests"] == len(trace)
         assert counters["points"] == len(trace)

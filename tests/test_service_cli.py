@@ -30,26 +30,13 @@ class TestParsing:
             [
                 "serve", "--port", "0", "--batch-window-ms", "2.5",
                 "--pack-rows", "5000", "--mem-entries", "128",
-                "--eval-workers", "3", "--cache-dir", "/tmp/c",
+                "--cache-dir", "/tmp/c",
                 "--port-file", "/tmp/p",
             ]
         )
         assert args.batch_window_ms == 2.5
         assert args.pack_rows == 5000
         assert args.port_file == "/tmp/p"
-
-    def test_serve_autotune_is_a_switch_only(self):
-        parser = build_parser()
-        args = parser.parse_args(["serve", "--autotune"])
-        assert args.autotune is True
-        serve = parser._subparsers._group_actions[0].choices["serve"]
-        flags = [
-            flag
-            for action in serve._actions
-            for flag in action.option_strings
-            if flag.startswith("--autotune")
-        ]
-        assert flags == ["--autotune"]
 
     def test_query_defaults(self):
         args = build_parser().parse_args(["query"])
@@ -63,7 +50,7 @@ class TestParsing:
             ["serve", "--batch-window-ms", "-1"],
             ["serve", "--pack-rows", "0"],
             ["serve", "--mem-entries", "0"],
-            ["serve", "--eval-workers", "0"],
+            ["serve", "--burst-rows", "16"],
             ["serve", "--port", "-2"],
         ],
     )

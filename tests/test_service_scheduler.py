@@ -10,6 +10,7 @@ The load-bearing assertions of the service layer live here:
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -424,8 +425,6 @@ class TestLifecycleAndErrors:
             MicroBatchScheduler(batch_window_ms=-1)
         with pytest.raises(ValueError, match="pack_rows"):
             MicroBatchScheduler(pack_rows=0)
-        with pytest.raises(ValueError, match="eval_workers"):
-            MicroBatchScheduler(eval_workers=0)
 
     def test_cache_put_failure_still_answers(
         self, tiny_platform, monkeypatch
@@ -479,3 +478,93 @@ class TestZeroWindow:
         assert sorted(p.seed for p in seen) == list(range(32))
         assert stats["queued"] == 0
         assert stats["queued_rows"] == 0
+
+
+class TestOneEvaluationSlot:
+    """Exactly one batch is in flight; what queues behind it is the next."""
+
+    @staticmethod
+    def _held_evaluate(gate):
+        """``evaluate_points`` held on ``gate``, counting overlap."""
+        lock = threading.Lock()
+        state = {"running": 0, "peak": 0, "batch_sizes": []}
+
+        def evaluate(points):
+            with lock:
+                state["running"] += 1
+                state["peak"] = max(state["peak"], state["running"])
+                state["batch_sizes"].append(len(points))
+            try:
+                gate.wait(30)
+                return evaluate_points(points)
+            finally:
+                with lock:
+                    state["running"] -= 1
+
+        return evaluate, state
+
+    def test_points_behind_a_held_batch_form_one_batch(self, tiny_platform):
+        gate = threading.Event()
+        evaluate, state = self._held_evaluate(gate)
+        n_behind = 8
+        points = [_point(tiny_platform, seed=s) for s in range(n_behind + 1)]
+
+        async def scenario(scheduler):
+            first = asyncio.ensure_future(scheduler.submit(points[:1]))
+            while not state["batch_sizes"]:
+                await asyncio.sleep(0.001)
+            # Arrivals spread over several loop wake-ups, all while the
+            # first batch holds the engine.
+            behind = []
+            for point in points[1:]:
+                behind.append(
+                    asyncio.ensure_future(scheduler.submit([point]))
+                )
+                await asyncio.sleep(0.002)
+            held = scheduler.stats()
+            gate.set()
+            results = await asyncio.gather(first, *behind)
+            return results, held, scheduler.stats()
+
+        results, held, stats = _run(
+            _with_scheduler(
+                scenario, cache=None, batch_window_ms=0, evaluate=evaluate
+            )
+        )
+        assert state["peak"] == 1
+        assert held["queued"] == n_behind
+        assert state["batch_sizes"] == [1, n_behind]
+        assert stats["counters"]["batches"] == 2
+        assert stats["counters"]["max_batch_points"] == n_behind
+        for point, (_, (record,)) in zip(points, results):
+            assert record == evaluate_point(point)
+
+    def test_flush_drains_through_the_one_slot(self, tiny_platform):
+        """``close(flush=True)`` runs the queued batches one at a time."""
+        gate = threading.Event()
+        evaluate, state = self._held_evaluate(gate)
+        points = [_point(tiny_platform, seed=s) for s in range(4)]
+
+        async def scenario():
+            # A 12-row budget: every point is its own batch.
+            scheduler = MicroBatchScheduler(
+                cache=None, batch_window_ms=0, pack_rows=12,
+                evaluate=evaluate,
+            )
+            await scheduler.start()
+            tasks = [
+                asyncio.ensure_future(scheduler.submit([p])) for p in points
+            ]
+            while not state["batch_sizes"]:
+                await asyncio.sleep(0.001)
+            closing = asyncio.ensure_future(scheduler.close(flush=True))
+            await asyncio.sleep(0.01)
+            gate.set()
+            await closing
+            return await asyncio.gather(*tasks)
+
+        results = _run(scenario())
+        assert state["peak"] == 1
+        assert state["batch_sizes"] == [1, 1, 1, 1]
+        for point, (_, (record,)) in zip(points, results):
+            assert record == evaluate_point(point)
