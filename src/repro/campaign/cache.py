@@ -8,19 +8,19 @@ refinements all hit the same entries.  Free-form row ``labels`` are
 deliberately excluded from the key: two campaigns that label the same
 physical configuration differently still share one cache entry.
 
-Entries are JSON files sharded by key prefix (``root/ab/abcdef...json``),
-written atomically (temp file + ``os.replace``) so a killed campaign never
-leaves a corrupt entry behind.
+Records live in the root's append-only record log
+(:mod:`repro.campaign.store`): each writing process appends whole
+buckets of ``{"key", "record", "~meta"}`` lines to its own segment
+(``root/seg-<pid>-<token>.jsonl``), and a per-process index maps each
+key to its line.  Entries of the older one-file-per-key layout
+(``root/ab/abcdef...json``) still read, count and prune; none are
+written any more.
 
-On disk each entry wraps the record with a version stamp::
-
-    {"~meta": {"schema": 1, "semantics": 2, ...}, "record": {...}}
-
-The stamp (:func:`entry_versions`) names the engine generation that
-computed the record -- ``semantics`` for Monte-Carlo rows, ``analytic``
-for model-layer rows, plus ``packed`` for explicitly packed rows -- so
-operators can see what a long-lived cache holds
-(:meth:`ResultCache.version_counts`, surfaced by ``repro campaign
+Each line wraps the record with a version stamp (:func:`entry_versions`)
+naming the engine generation that computed it -- ``semantics`` for
+Monte-Carlo rows, ``analytic`` for model-layer rows, plus ``packed`` for
+explicitly packed rows -- so operators can see what a long-lived cache
+holds (:meth:`ResultCache.version_counts`, surfaced by ``repro campaign
 cache`` and ``/v1/stats``) and evict one generation precisely
 (:meth:`ResultCache.prune_version`, the ``--prune-version`` flag).
 Records themselves stay byte-identical to what the engines produced;
@@ -35,15 +35,19 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from secrets import token_hex
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from repro._version import __version__
 from repro.campaign.spec import ScenarioPoint
+from repro.campaign.store import (  # noqa: F401  (re-exported)
+    CACHE_SCHEMA,
+    LEGACY_VERSION,
+    Entry,
+    RecordLog,
+    encode_lines,
+    entry_versions,
+)
 from repro.simulation.model import SEMANTICS_VERSION
-
-#: Bump when the point->record computation changes incompatibly.
-CACHE_SCHEMA = 1
 
 
 def cache_key(point: ScenarioPoint) -> str:
@@ -112,49 +116,6 @@ def _point_digest(point: ScenarioPoint) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-#: Version label for entries written before the ``~meta`` stamp existed.
-LEGACY_VERSION = "legacy"
-
-
-def entry_versions(record: Mapping[str, Any]) -> Dict[str, int]:
-    """The version stamp for a record, derived from its engine label.
-
-    Mirrors the versioning split of :func:`cache_key`: analytic rows
-    are versioned by the model layer alone, Monte-Carlo rows by the
-    simulator semantics, and explicitly packed rows additionally by the
-    packed layer.
-    """
-    engine = record.get("engine")
-    if engine == "analytic":
-        from repro.core.batch import ANALYTIC_VERSION
-
-        return {"schema": CACHE_SCHEMA, "analytic": ANALYTIC_VERSION}
-    meta = {"schema": CACHE_SCHEMA, "semantics": SEMANTICS_VERSION}
-    if engine == "packed":
-        from repro.simulation.packed_engine import PACKED_VERSION
-
-        meta["packed"] = PACKED_VERSION
-    return meta
-
-
-def _entry_labels(data: Any) -> Tuple[str, ...]:
-    """The version labels of one on-disk entry (``("semantics=2",)``...).
-
-    An entry can carry several labels (packed rows are versioned by both
-    the semantics and the packed layer); unwrapped pre-stamp entries
-    yield ``("legacy",)``.
-    """
-    if isinstance(data, Mapping) and "~meta" in data and "record" in data:
-        meta = data["~meta"]
-        if isinstance(meta, Mapping):
-            return tuple(
-                f"{name}={meta[name]}"
-                for name in ("semantics", "analytic", "packed")
-                if name in meta
-            ) or (LEGACY_VERSION,)
-    return (LEGACY_VERSION,)
-
-
 @dataclass(frozen=True)
 class CacheStats:
     """A snapshot of cache state and this process's hit/miss counters."""
@@ -173,11 +134,17 @@ class CacheStats:
 
 
 class ResultCache:
-    """Content-addressed result store under one root directory."""
+    """Content-addressed result store under one root directory.
+
+    A thin view over the root's :class:`~repro.campaign.store.RecordLog`
+    that adds this instance's hit/miss counters; every instance on a
+    root shares the process's one index.
+    """
 
     def __init__(self, root: str):
         self.root = os.path.abspath(root)
         os.makedirs(self.root, exist_ok=True)
+        self._log = RecordLog.at(self.root)
         self._hits = 0
         self._misses = 0
 
@@ -187,105 +154,52 @@ class ResultCache:
         return cache_key(point)
 
     def _path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.json")
-
-    @staticmethod
-    def _unwrap(data: Any) -> Dict[str, Any]:
-        """The record inside an entry (stamped or legacy passthrough)."""
-        if (
-            isinstance(data, dict)
-            and "~meta" in data
-            and "record" in data
-        ):
-            return data["record"]
-        return data
+        """Where the one-file-per-key layout keeps ``key`` (read only)."""
+        return self._log.legacy_path(key)
 
     # -- store operations ---------------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Fetch a cached record, counting a hit or miss."""
-        path = self._path(key)
-        try:
-            with open(path) as fh:
-                record = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            self._misses += 1
-            return None
-        self._hits += 1
-        return self._unwrap(record)
+        return self.get_many((key,)).get(key)
 
     def put(self, key: str, record: Dict[str, Any]) -> None:
-        """Store a record atomically under its key.
-
-        The temp name carries the pid plus a random token, so concurrent
-        writers of one key never collide -- including same-pid writers
-        on different hosts sharing one cache volume -- and
-        ``os.replace`` keeps the final rename atomic, without paying
-        ``mkstemp``'s open/close round trip on every store.
-        """
-        path = self._path(key)
-        entry = {"~meta": entry_versions(record), "record": record}
-        tmp = f"{path}.{os.getpid()}.{token_hex(8)}.tmp"
-        try:
-            try:
-                fh = open(tmp, "w")
-            except FileNotFoundError:
-                # First entry of its shard (or the shard was cleaned up
-                # under us): create the directory and retry once.
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                fh = open(tmp, "w")
-            with fh:
-                fh.write(json.dumps(entry, separators=(",", ":"),
-                                    default=str))
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        """Store one record (a bucket of one, see :meth:`put_many`)."""
+        self.put_many({key: record})
 
     def get_many(self, keys: Iterable[str]) -> Dict[str, Dict[str, Any]]:
         """Bulk fetch: present keys and their records, hits/misses counted.
 
-        One :meth:`get` probe per key, so the cost follows the number of
-        keys, not the size of the cache (a shard listing grows with it).
-        Absent keys are simply missing from the result.
+        The index answers without touching the disk for keys it does
+        not hold, after at most one refresh of what was appended since
+        the last one.  Absent keys are simply missing from the result;
+        undecodable entries count as misses.
         """
-        out: Dict[str, Dict[str, Any]] = {}
-        for key in keys:
-            record = self.get(key)
-            if record is not None:
-                out[key] = record
+        keys = list(keys)
+        found = self._log.get_many(keys)
+        out = {key: found[key] for key in keys if key in found}
+        hits = sum(1 for key in keys if key in out)
+        self._hits += hits
+        self._misses += len(keys) - hits
         return out
 
-    def put_many(self, records: Mapping[str, Dict[str, Any]]) -> None:
-        """Store many records; each write stays individually atomic.
+    def put_many(self, records: Mapping[str, Dict[str, Any]]) -> bytes:
+        """Store a bucket of records with one append; returns its lines.
 
-        Each entry keeps the temp-file + ``os.replace`` crash safety of
-        :meth:`put` -- a killed bulk write leaves complete entries and
-        temp litter, never a corrupt record.
+        The records are encoded once (:func:`~repro.campaign.store.
+        encode_lines`); a caller that journals the same bucket writes
+        the returned bytes instead of encoding again.  A killed write
+        loses at most this bucket (the torn tail is skipped on read).
         """
-        for key, record in records.items():
-            self.put(key, record)
+        lines = encode_lines(records)
+        self._log.append(lines)
+        return lines
 
     def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._path(key))
-
-    def _entries(self) -> Iterator[Tuple[str, int]]:
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
-                    path = os.path.join(shard_dir, name)
-                    yield name[: -len(".json")], os.path.getsize(path)
+        return key in self._log
 
     def stats(self) -> CacheStats:
-        """Scan the store and report entry count, size and hit counters."""
-        entries = 0
-        total = 0
-        for _, size in self._entries():
-            entries += 1
-            total += size
+        """Scan the store: distinct keys, bytes on disk, hit counters."""
+        entries, total = self._log.sizes()
         return CacheStats(
             entries=entries,
             total_bytes=total,
@@ -295,32 +209,41 @@ class ResultCache:
         )
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for key, _ in list(self._entries()):
-            os.unlink(self._path(key))
-            removed += 1
-        return removed
+        """Delete every entry; returns how many distinct keys went."""
+        return self._log.clear()
 
     def version_counts(self) -> Dict[str, int]:
         """Entry counts per version label (``{"semantics=2": 41, ...}``).
 
         Labels come from each entry's ``~meta`` stamp; a packed row
         counts under both its ``semantics`` and ``packed`` labels, and
-        pre-stamp entries count as ``legacy``.  Scans (and reads) the
-        whole store, like :meth:`stats` -- an operator's inspection
-        tool, not a hot-path call.
+        pre-stamp entries count as ``legacy``; undecodable ones are
+        skipped.  Reads the whole store, like :meth:`stats` -- an
+        operator's inspection tool, not a hot-path call.
         """
         counts: Dict[str, int] = {}
-        for key, _ in self._entries():
-            try:
-                with open(self._path(key)) as fh:
-                    data = json.load(fh)
-            except (FileNotFoundError, json.JSONDecodeError):
-                continue
-            for label in _entry_labels(data):
+        for entry in self._log.entries():
+            for label in entry.labels or ():
                 counts[label] = counts.get(label, 0) + 1
         return dict(sorted(counts.items()))
+
+    def _prune(
+        self, doomed: Callable[[Entry], bool], dry_run: bool
+    ) -> "PruneReport":
+        n_examined = 0
+        pruned: Dict[str, int] = {}
+        for entry in self._log.entries():
+            n_examined += 1
+            if doomed(entry):
+                pruned[entry.key] = entry.nbytes
+        if not dry_run:
+            self._log.remove(set(pruned))
+        return PruneReport(
+            n_examined=n_examined,
+            n_pruned=len(pruned),
+            bytes_pruned=sum(pruned.values()),
+            dry_run=dry_run,
+        )
 
     def prune_version(
         self, version: str, *, dry_run: bool = False
@@ -329,98 +252,34 @@ class ResultCache:
 
         The surgical companion to :meth:`prune_older_than`: after an
         engine-generation bump, exactly the superseded entries go
-        (``legacy`` evicts the pre-stamp ones).  Content-addressed
-        entries are always recomputable, so this is always safe.
-        ``dry_run`` reports without touching anything.
+        (``legacy`` evicts the pre-stamp ones, and undecodable ones).
+        Content-addressed entries are always recomputable, so this is
+        always safe.  ``dry_run`` reports without touching anything.
         """
         version = version.strip()
         if not version:
             raise ValueError("version label must be non-empty")
-        n_examined = 0
-        n_pruned = 0
-        bytes_pruned = 0
-        for key, size in list(self._entries()):
-            path = self._path(key)
-            try:
-                with open(path) as fh:
-                    data = json.load(fh)
-            except FileNotFoundError:
-                continue
-            except json.JSONDecodeError:
-                data = None  # unreadable: label it legacy
-            n_examined += 1
-            if version not in _entry_labels(data):
-                continue
-            if not dry_run:
-                try:
-                    os.unlink(path)
-                except FileNotFoundError:
-                    continue
-            n_pruned += 1
-            bytes_pruned += size
-        if not dry_run and n_pruned:
-            self._cleanup_empty_shards()
-        return PruneReport(
-            n_examined=n_examined,
-            n_pruned=n_pruned,
-            bytes_pruned=bytes_pruned,
-            dry_run=dry_run,
+        return self._prune(
+            lambda e: version in (e.labels or (LEGACY_VERSION,)), dry_run
         )
-
-    def _cleanup_empty_shards(self) -> None:
-        """Drop shard directories a prune emptied (best-effort)."""
-        for name in os.listdir(self.root):
-            shard_dir = os.path.join(self.root, name)
-            if not os.path.isdir(shard_dir):
-                continue
-            try:
-                os.rmdir(shard_dir)
-            except OSError:
-                continue  # not empty: keep it
 
     def prune_older_than(
         self, days: float, *, dry_run: bool = False
     ) -> "PruneReport":
-        """Evict entries whose file mtime is older than ``days`` days.
+        """Evict entries written more than ``days`` days ago.
 
         Long-lived hosts (the ``repro serve`` daemon, shared campaign
         volumes) use this to bound disk usage: entries are content-
         addressed and recomputable, so age-based eviction is always
-        safe.  ``dry_run`` reports what *would* be removed without
-        touching anything.  Shard directories emptied by a real prune
-        are removed too (best-effort).  Entries that vanish mid-scan
-        (a concurrent prune or clear) are skipped, not fatal.
+        safe.  A record line's age is its stamp's write time, a legacy
+        entry's its file mtime.  ``dry_run`` reports what *would* be
+        removed without touching anything.  Segments are rewritten
+        without the evicted lines (see :mod:`repro.campaign.store`).
         """
         if days < 0:
             raise ValueError(f"days must be >= 0, got {days}")
         cutoff = time.time() - days * 86400.0
-        n_examined = 0
-        n_pruned = 0
-        bytes_pruned = 0
-        for key, size in list(self._entries()):
-            path = self._path(key)
-            try:
-                mtime = os.path.getmtime(path)
-            except FileNotFoundError:
-                continue
-            n_examined += 1
-            if mtime >= cutoff:
-                continue
-            if not dry_run:
-                try:
-                    os.unlink(path)
-                except FileNotFoundError:
-                    continue
-            n_pruned += 1
-            bytes_pruned += size
-        if not dry_run and n_pruned:
-            self._cleanup_empty_shards()
-        return PruneReport(
-            n_examined=n_examined,
-            n_pruned=n_pruned,
-            bytes_pruned=bytes_pruned,
-            dry_run=dry_run,
-        )
+        return self._prune(lambda e: e.written < cutoff, dry_run)
 
 
 @dataclass(frozen=True)

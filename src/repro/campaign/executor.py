@@ -35,11 +35,14 @@ The executor turns a list of scenario points into result records:
    (:meth:`~repro.campaign.spec.ScenarioPoint.configuration`), so a
    worker optimises a configuration once across all its buckets.
 
-Every completed point is streamed to the journal (append-one-line,
-flushed) the moment it arrives, so an interrupted campaign loses at most
-the in-flight tasks and resumes exactly where it stopped.  A truncated
-or corrupt journal line -- the signature of a killed writer -- is
-detected, counted and skipped on resume, never fatal.
+Every bucket is committed the moment it lands: its records are encoded
+once (:func:`~repro.campaign.store.encode_lines`) and the same bytes are
+appended, one ``os.write`` each, to the cache's record-log segment and
+to the journal (:class:`~repro.campaign.store.Journal`).  An
+interrupted campaign therefore loses at most its in-flight buckets and
+resumes exactly where it stopped.  A torn or corrupt journal line -- the
+signature of a killed writer -- is detected, counted and skipped on
+resume, never fatal.
 
 Result records carry only computed quantities; the free-form point
 ``labels`` are merged in at assembly time.  That way two campaigns that
@@ -49,7 +52,6 @@ entries and journal lines.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import closing
 from dataclasses import dataclass
@@ -71,7 +73,7 @@ from repro.campaign.planner import (
     plan_buckets,
 )
 from repro.campaign.spec import CampaignSpec, Configuration, ScenarioPoint
-from repro.io import scan_jsonl
+from repro.campaign.store import Journal
 
 
 class CampaignConfigError(ValueError):
@@ -434,80 +436,6 @@ class CampaignResult:
         return len(self.points)
 
 
-class Journal:
-    """Append-only JSONL journal of (key, record) pairs.
-
-    Corrupt or truncated lines found while loading an existing journal
-    (a killed writer's half-line, disk-full artifacts) are counted in
-    ``n_corrupt`` and skipped: the affected points simply recompute.
-    Shared with the jobs service, whose server-side job journals use
-    the exact same line format -- a job journal and a ``campaign run``
-    journal of the same spec are interchangeable.
-    """
-
-    def __init__(self, path: Optional[str]):
-        self.path = path
-        self._fh = None
-        self.existing: Dict[str, Dict[str, Any]] = {}
-        self.n_corrupt = 0
-        if path is None:
-            return
-        if os.path.exists(path):
-            lines, self.n_corrupt = scan_jsonl(path)
-            for line in lines:
-                if isinstance(line, dict) and "key" in line:
-                    self.existing[line["key"]] = line.get("record", {})
-                else:
-                    self.n_corrupt += 1
-            self._drop_partial_tail(path)
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        self._fh = open(path, "a")
-
-    @staticmethod
-    def _drop_partial_tail(path: str) -> None:
-        """Truncate a killed writer's half-line off the journal tail.
-
-        The affected point recomputes and re-journals, so removing the
-        partial line both prevents the next append from corrupting
-        itself by concatenation and leaves a fully healthy file --
-        later resumes must not keep re-reporting a long-gone crash.
-        """
-        size = os.path.getsize(path)
-        if size == 0:
-            return
-        with open(path, "rb+") as fh:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) == b"\n":
-                return
-            # Walk back to the last newline (bounded scan from the end).
-            pos = size
-            chunk = 4096
-            while pos > 0:
-                step = min(chunk, pos)
-                fh.seek(pos - step)
-                data = fh.read(step)
-                cut = data.rfind(b"\n")
-                if cut >= 0:
-                    fh.truncate(pos - step + cut + 1)
-                    return
-                pos -= step
-            fh.truncate(0)
-
-    def append(self, key: str, record: Dict[str, Any]) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(
-            json.dumps({"key": key, "record": record}, default=str) + "\n"
-        )
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
 def run_campaign(
     campaign: Union[CampaignSpec, Sequence[ScenarioPoint]],
     *,
@@ -565,30 +493,26 @@ def run_campaign(
     keys = [cache_key(p) for p in points]
     journal = Journal(journal_path)
     resolved: Dict[str, Dict[str, Any]] = {}
-    n_journal = 0
-    n_cache = 0
 
     # Unique work, in first-appearance order (duplicate configurations in
     # one campaign -- e.g. a grid's symmetric cells -- compute once).
-    # The cache is probed per key, so the lookup costs one open() per
-    # point whatever the cache holds.
-    todo: List[Tuple[str, ScenarioPoint]] = []
-    seen: set = set()
+    # One bulk cache lookup: the index answers every miss after at most
+    # one refresh, and the hits are journaled with one write.
+    unique: Dict[str, ScenarioPoint] = {}
     for key, point in zip(keys, points):
-        if key in seen:
-            continue
-        seen.add(key)
         if key in journal.existing:
             resolved[key] = journal.existing[key]
-            n_journal += 1
-            continue
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            resolved[key] = hit
-            journal.append(key, hit)
-            n_cache += 1
         else:
-            todo.append((key, point))
+            unique.setdefault(key, point)
+    n_journal = len(resolved)
+    hits = cache.get_many(unique) if cache is not None and unique else {}
+    if hits:
+        resolved.update(hits)
+        journal.append(hits)
+    n_cache = len(hits)
+    todo: List[Tuple[str, ScenarioPoint]] = [
+        (key, point) for key, point in unique.items() if key not in hits
+    ]
 
     try:
         n_computed, n_packed = _execute(
@@ -643,15 +567,16 @@ def _execute(
     n_packed = sum(1 for _, p in todo if is_packable(p))
 
     def commit(bucket: Bucket, records: List[Dict[str, Any]]) -> None:
-        for (key, _), record in zip(bucket, records):
-            resolved[key] = record
-            journal.append(key, record)
-            if cache is not None:
-                cache.put(key, record)
+        # One encoding, one write to the cache segment, the same bytes
+        # in one write to the journal: the bucket is the unit of loss.
+        fresh = {key: record for (key, _), record in zip(bucket, records)}
+        resolved.update(fresh)
+        lines = cache.put_many(fresh) if cache is not None else None
+        journal.append(fresh, lines)
 
     if workers == 1:
-        # In-process and deterministic, but still bucketed: the journal
-        # flushes after every bucket (the unit of loss on interruption).
+        # In-process and deterministic, but still bucketed: each bucket
+        # is committed as it finishes.
         for bucket in buckets:
             commit(bucket, evaluate_points([p for _, p in bucket]))
         return len(todo), n_packed

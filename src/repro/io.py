@@ -89,21 +89,27 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
 def scan_jsonl(path: str) -> "Tuple[List[Dict[str, Any]], int]":
     """Read a JSONL file tolerantly, reporting dropped lines.
 
-    Returns ``(records, n_corrupt)``: blank lines are ignored, corrupt or
-    truncated lines (invalid JSON -- e.g. the half-written last line of a
-    killed process) are *counted* and skipped.  Campaign resume surfaces
-    the count so an interrupted run is visible rather than silent.
+    Returns ``(records, n_corrupt)``: blank lines are ignored, and lines
+    that are not a JSON object -- invalid JSON (e.g. the half-written
+    last line of a killed process), bytes that are not UTF-8, or JSON
+    of another type -- are *counted* and skipped.  Campaign resume
+    surfaces the count so an interrupted run is visible rather than
+    silent.
     """
     records: List[Dict[str, Any]] = []
     n_corrupt = 0
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
+                record = json.loads(line)
+            except ValueError:  # JSONDecodeError and UnicodeDecodeError
+                record = None
+            if isinstance(record, dict):
+                records.append(record)
+            else:
                 n_corrupt += 1
     return records, n_corrupt
 

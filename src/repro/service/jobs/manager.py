@@ -40,7 +40,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Set
 
-from repro.campaign.executor import Journal
+from repro.campaign.store import Journal
 from repro.campaign.planner import Bucket, bucket_rows, plan_buckets
 from repro.campaign.spec import CampaignSpec, ScenarioPoint
 from repro.service.jobs.fair_share import FairShare
@@ -591,20 +591,21 @@ class JobManager:
             _, outcomes = await self._scheduler.resolve(
                 [p for _, p in bucket]
             )
+            done: Dict[str, Dict[str, Any]] = {}
             for key, outcome in outcomes.items():
                 if isinstance(outcome, BaseException):
                     job.failed[key] = str(outcome)
                 else:
-                    # Journal BEFORE exposing through `resolved`: a
-                    # record visible to result streaming is always on
-                    # disk, so a crash never un-streams anything.
-                    if (
-                        job.journal is not None
-                        and key not in job.journaled
-                    ):
-                        job.journal.append(key, outcome)
-                        job.journaled.add(key)
-                    job.resolved[key] = outcome
+                    done[key] = outcome
+            # Journal the bucket (one append) BEFORE exposing it through
+            # `resolved`: a record visible to result streaming is always
+            # on disk, so a crash never un-streams anything.
+            if job.journal is not None:
+                job.journal.append(
+                    {k: r for k, r in done.items() if k not in job.journaled}
+                )
+                job.journaled.update(done)
+            job.resolved.update(done)
         except Exception as exc:  # scheduler torn down mid-dispatch
             if not job.terminal:
                 job.buckets.clear()

@@ -7,17 +7,18 @@ Each job owns one directory under the jobs root::
         journal.jsonl   campaign-run-format result journal
         state.json      terminal marker (present only once the job ends)
 
-``journal.jsonl`` uses :class:`repro.campaign.executor.Journal` -- the
-exact line format ``campaign run --journal`` writes -- so a job journal
-is interchangeable with a batch journal and a restarted daemon resumes
-a job the same way a resumed campaign run does: re-expand ``spec.json``
-through the scenario registry, preload the journal, recompute only the
-missing points.  ``state.json`` exists only for terminal jobs
+``journal.jsonl`` is a :class:`repro.campaign.store.Journal` -- the
+record-log line format ``campaign run --journal`` and the result cache
+write, one append per bucket -- so a job journal is interchangeable with
+a batch journal and a restarted daemon resumes a job the same way a
+resumed campaign run does: re-expand ``spec.json`` through the scenario
+registry, preload the journal (a torn tail is counted, skipped and cut
+off), recompute only the missing points.  ``state.json`` exists only for terminal jobs
 (done/failed/cancelled); its absence is what marks a job as resumable.
 
-All single-file writes go through temp-file + :func:`os.replace`, the
-same atomicity discipline as the result cache, so a crash mid-write
-never leaves a half-readable marker.
+``spec.json`` and ``state.json`` are written through temp-file +
+:func:`os.replace`, so a crash mid-write never leaves a half-readable
+marker.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import re
 import shutil
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.campaign.executor import Journal
+from repro.campaign.store import Journal
 from repro.campaign.spec import CampaignSpec
 
 _JOB_ID_RE = re.compile(r"^j[0-9a-f]{12}$")
@@ -52,7 +53,7 @@ class JobStore:
 
     The store knows nothing about scheduling -- it persists and loads
     the three per-job files and hands the manager a
-    :class:`~repro.campaign.executor.Journal` opened on the job's
+    :class:`~repro.campaign.store.Journal` opened on the job's
     journal path (which also preloads existing records for resume).
     """
 

@@ -92,8 +92,9 @@ class TieredCache:
     """Memory tier over an optional on-disk :class:`ResultCache`.
 
     Reads go memory -> disk (disk hits are promoted into memory); writes
-    go to both tiers.  With ``disk=None`` the memory tier works alone --
-    a cache-dir-less daemon still coalesces and memoises.
+    go to both tiers, a batch landing on disk as one record-log append.
+    With ``disk=None`` the memory tier works alone -- a cache-dir-less
+    daemon still coalesces and memoises, and encodes nothing.
     """
 
     def __init__(

@@ -1,10 +1,13 @@
 """Unit tests for the content-addressed result cache."""
 
+import glob
 import json
 import os
+import time
 
 import pytest
 
+import repro.campaign.store as store_mod
 from repro.campaign.cache import (
     LEGACY_VERSION,
     ResultCache,
@@ -12,6 +15,32 @@ from repro.campaign.cache import (
     entry_versions,
 )
 from repro.campaign.spec import ScenarioPoint, platform_to_dict
+
+
+def _segments(cache):
+    return sorted(glob.glob(os.path.join(cache.root, "seg-*.jsonl")))
+
+
+def _corrupt(cache, key, garbage=b"{not json"):
+    """Overwrite ``key``'s line in its segment in place, same length."""
+    name, offset, length = cache._log._index[key]
+    with open(os.path.join(cache.root, name), "r+b") as fh:
+        fh.seek(offset)
+        fh.write(garbage.ljust(length))
+
+
+def _put_aged(cache, records, days, monkeypatch):
+    """Write ``records`` as if ``days`` days ago."""
+    then = time.time() - days * 86400.0
+
+    class _Clock:
+        @staticmethod
+        def time():
+            return then
+
+    monkeypatch.setattr(store_mod, "time", _Clock)
+    cache.put_many(records)
+    monkeypatch.undo()
 
 
 @pytest.fixture
@@ -173,9 +202,7 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path / "c"))
         key = cache.key(point)
         cache.put(key, {"x": 1})
-        path = cache._path(key)
-        with open(path, "w") as fh:
-            fh.write("{not json")
+        _corrupt(cache, key)
         assert cache.get(key) is None
 
     def test_clear(self, tmp_path, point):
@@ -188,20 +215,24 @@ class TestResultCache:
         assert cache.clear() == 3
         assert cache.stats().entries == 0
 
-    def test_sharded_layout(self, tmp_path, point):
+    def test_segment_layout(self, tmp_path, point):
+        """A put appends one record-log line to this process's segment."""
         cache = ResultCache(str(tmp_path / "c"))
         key = cache.key(point)
         cache.put(key, {})
-        assert os.path.exists(
-            os.path.join(cache.root, key[:2], f"{key}.json")
-        )
+        (segment,) = _segments(cache)
+        assert os.path.basename(segment).startswith(f"seg-{os.getpid()}-")
+        with open(segment) as fh:
+            (line,) = [json.loads(raw) for raw in fh]
+        assert line["key"] == key and line["record"] == {}
 
     def test_put_is_atomic_no_tmp_left(self, tmp_path, point):
         cache = ResultCache(str(tmp_path / "c"))
         key = cache.key(point)
         cache.put(key, {"v": 1})
-        shard = os.path.join(cache.root, key[:2])
-        assert [n for n in os.listdir(shard) if n.endswith(".tmp")] == []
+        assert os.listdir(cache.root) == [
+            os.path.basename(s) for s in _segments(cache)
+        ]
 
     def test_shared_across_instances(self, tmp_path, point):
         root = str(tmp_path / "c")
@@ -251,8 +282,7 @@ class TestBulkOps:
         cache = ResultCache(str(tmp_path / "c"))
         good, bad = self._keys(2)
         cache.put_many({good: {"v": 1}, bad: {"v": 2}})
-        with open(cache._path(bad), "w") as fh:
-            fh.write("{not json")
+        _corrupt(cache, bad)
         assert cache.get_many([good, bad]) == {good: {"v": 1}}
 
     def test_bulk_equivalent_to_loop_for_real_points(
@@ -271,19 +301,13 @@ class TestBulkOps:
 
 
 class TestPrune:
-    @staticmethod
-    def _age(cache, key, days):
-        import time as _time
+    """Age is the line's stamped write time (a legacy file's mtime)."""
 
-        old = _time.time() - days * 86400.0
-        os.utime(cache._path(key), (old, old))
-
-    def test_dry_run_reports_without_removing(self, tmp_path):
+    def test_dry_run_reports_without_removing(self, tmp_path, monkeypatch):
         cache = ResultCache(str(tmp_path / "c"))
         keys = [f"{i:064x}" for i in range(3)]
-        cache.put_many({k: {"v": 1} for k in keys})
-        for key in keys[:2]:
-            self._age(cache, key, days=10)
+        _put_aged(cache, {k: {"v": 1} for k in keys[:2]}, 10, monkeypatch)
+        cache.put_many({keys[2]: {"v": 1}})
         report = cache.prune_older_than(7, dry_run=True)
         assert report.dry_run
         assert report.n_examined == 3
@@ -291,19 +315,33 @@ class TestPrune:
         assert report.bytes_pruned > 0
         assert cache.stats().entries == 3
 
-    def test_prune_removes_old_entries_and_empty_shards(self, tmp_path):
+    def test_prune_removes_old_entries_and_empty_shards(
+        self, tmp_path, monkeypatch
+    ):
         cache = ResultCache(str(tmp_path / "c"))
         old_key = "aa" + "0" * 62
         new_key = "bb" + "0" * 62
-        cache.put_many({old_key: {"v": 1}, new_key: {"v": 2}})
-        self._age(cache, old_key, days=30)
+        legacy_key = "cc" + "0" * 62
+        _put_aged(cache, {old_key: {"v": 1}}, 30, monkeypatch)
+        cache.put_many({new_key: {"v": 2}})
+        # An old one-file-per-key entry, aged by its mtime.
+        os.makedirs(os.path.dirname(cache._path(legacy_key)))
+        with open(cache._path(legacy_key), "w") as fh:
+            json.dump({"v": 3}, fh)
+        old = time.time() - 30 * 86400.0
+        os.utime(cache._path(legacy_key), (old, old))
         report = cache.prune_older_than(7)
         assert not report.dry_run
-        assert report.n_pruned == 1
+        assert report.n_pruned == 2
         assert cache.get(new_key) == {"v": 2}
         assert cache.get(old_key) is None
-        assert not os.path.exists(os.path.join(cache.root, "aa"))
-        assert os.path.exists(os.path.join(cache.root, "bb"))
+        assert cache.get(legacy_key) is None
+        # The segment was rewritten without the old line, and the
+        # emptied legacy shard is gone.
+        (segment,) = _segments(cache)
+        with open(segment) as fh:
+            assert [json.loads(raw)["key"] for raw in fh] == [new_key]
+        assert not os.path.exists(os.path.join(cache.root, "cc"))
 
     def test_prune_zero_days_evicts_everything(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
@@ -313,7 +351,7 @@ class TestPrune:
         assert cache.stats().entries == 0
 
     def test_put_after_prune_rebuilds_shard(self, tmp_path):
-        """put recreates a shard directory that a prune removed."""
+        """put recreates the segment that a prune removed."""
         cache = ResultCache(str(tmp_path / "c"))
         key = "aa" + "1" * 62
         cache.put(key, {"v": 1})
@@ -326,12 +364,11 @@ class TestPrune:
         with pytest.raises(ValueError, match="days"):
             cache.prune_older_than(-1)
 
-    def test_prune_cli(self, tmp_path, capsys):
+    def test_prune_cli(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
         cache = ResultCache(str(tmp_path / "c"))
-        cache.put("aa" + "0" * 62, {"v": 1})
-        self._age(cache, "aa" + "0" * 62, days=5)
+        _put_aged(cache, {"aa" + "0" * 62: {"v": 1}}, 5, monkeypatch)
         assert main(
             ["campaign", "cache", "--cache-dir", cache.root,
              "--prune-older-than", "3", "--dry-run"]
@@ -383,11 +420,15 @@ class TestVersions:
         cache = ResultCache(str(tmp_path / "c"))
         record = {"engine": "fast", "H*": 0.25}
         cache.put(self.KEYS[0], record)
-        with open(cache._path(self.KEYS[0])) as fh:
-            on_disk = json.load(fh)
+        (segment,) = _segments(cache)
+        with open(segment) as fh:
+            on_disk = json.loads(fh.readline())
+        written = on_disk["~meta"].pop("t")
+        assert abs(written - time.time()) < 60
         assert on_disk == {
-            "~meta": entry_versions(record),
+            "key": self.KEYS[0],
             "record": record,
+            "~meta": entry_versions(record),
         }
         # Readers unwrap transparently -- stored bytes, same record.
         assert cache.get(self.KEYS[0]) == record
@@ -439,8 +480,10 @@ class TestVersions:
         assert cache.version_counts() == {
             "analytic=1": 1, LEGACY_VERSION: 1
         }
-        # The aa shard emptied (both its entries were semantics=2).
-        assert not os.path.exists(os.path.join(cache.root, "aa"))
+        # The segment lost exactly the two semantics=2 lines.
+        (segment,) = _segments(cache)
+        with open(segment) as fh:
+            assert [json.loads(raw)["key"] for raw in fh] == [self.KEYS[2]]
 
     def test_prune_legacy_label(self, tmp_path):
         cache = self._mixed_cache(tmp_path)
@@ -448,6 +491,8 @@ class TestVersions:
         assert report.n_pruned == 1
         assert cache.stats().entries == 3
         assert cache.get(self.KEYS[3]) is None
+        # Its shard emptied, so it went too.
+        assert not os.path.exists(os.path.join(cache.root, "cc"))
 
     def test_dry_run_reports_without_removing(self, tmp_path):
         cache = self._mixed_cache(tmp_path)
@@ -469,10 +514,9 @@ class TestVersions:
                 cache.prune_version(label)
 
     def test_corrupt_entry_prunes_as_legacy(self, tmp_path):
-        """Unreadable files: skipped by counts, evictable as legacy."""
+        """Unreadable entries: skipped by counts, evictable as legacy."""
         cache = self._mixed_cache(tmp_path)
-        with open(cache._path(self.KEYS[0]), "w") as fh:
-            fh.write("{not json")
+        _corrupt(cache, self.KEYS[0])
         assert cache.version_counts()[LEGACY_VERSION] == 1
         report = cache.prune_version(LEGACY_VERSION)
         assert report.n_pruned == 2  # the pre-stamp AND the corrupt one

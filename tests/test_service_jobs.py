@@ -251,12 +251,14 @@ class TestJobStore:
         store = JobStore(str(tmp_path))
         job_id = new_job_id()
         journal = store.open_journal(job_id)
-        journal.append("k1", {"v": 1})
+        journal.append({"k1": {"v": 1}})
         journal.close()
         line = json.loads(
             open(store.journal_path(job_id)).readline()
         )
-        assert line == {"key": "k1", "record": {"v": 1}}
+        # The record-log line: the (key, record) pair plus its stamp.
+        assert line["key"] == "k1" and line["record"] == {"v": 1}
+        assert set(line) == {"key", "record", "~meta"}
         reopened = store.open_journal(job_id)
         assert reopened.existing == {"k1": {"v": 1}}
         reopened.close()
@@ -552,8 +554,12 @@ class TestRestartResume:
             },
         )
         journal = store.open_journal(job_id)
-        for key, point in list(zip(keys, points))[:2]:
-            journal.append(key, evaluate_point(point))
+        journal.append(
+            {
+                key: evaluate_point(point)
+                for key, point in list(zip(keys, points))[:2]
+            }
+        )
         journal.close()
 
         computed = []
