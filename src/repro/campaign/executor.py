@@ -456,8 +456,9 @@ def run_campaign(
         disables caching.
     journal_path:
         JSONL journal file.  If it exists, journaled points are *not*
-        recomputed (resume); completed points are appended as they finish.
-        Corrupt/truncated lines are skipped (and counted on the result).
+        recomputed (resume); each bucket is appended, in one write, as it
+        lands.  Corrupt/truncated lines are skipped (and counted on the
+        result).
     n_workers:
         Most worker processes to run at once; default
         :func:`available_cpus`, capped at the number of outstanding

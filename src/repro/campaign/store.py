@@ -4,7 +4,7 @@ Every record the campaign layer persists -- result-cache entries,
 ``campaign run`` journals and the daemon's job journals -- is one line
 of one JSONL format::
 
-    {"key":"<cache key>","record":{...},"~meta":{"schema":1,"semantics":2,"t":1760900000}}
+    {"key":"<key>","record":{...},"~meta":{"schema":1,"semantics":2,"t":1760900000}}
 
 ``record`` is the engine's record, ``~meta`` its version stamp
 (:func:`entry_versions`) plus ``t``, the unix second the line was
@@ -33,12 +33,12 @@ are content-addressed, so copies are equal).
 
 **Torn tails.**  A writer killed mid-bucket leaves an unterminated last
 line.  The scanner counts it (:attr:`RecordLog.n_torn`) and skips it, so
-only that bucket's keys go missing; a writer that finds its own segment
-torn starts its next bucket on a fresh line, and :class:`Journal` cuts
-a torn tail off before appending.  Undecodable lines -- invalid JSON,
-bytes that are not UTF-8, JSON that is not a ``{"key", "record"}``
-object -- read as misses (counted in :attr:`RecordLog.n_corrupt` and
-:attr:`Journal.n_corrupt`), never as errors.
+at most that bucket's keys go missing; a writer that finds its own
+segment torn starts its next bucket on a fresh line, and
+:class:`Journal` cuts a torn tail off before appending.  Undecodable
+lines -- invalid JSON, bytes that are not UTF-8, JSON that is not a
+``{"key", "record"}`` object -- read as misses (a journal counts them
+in :attr:`Journal.n_corrupt`), never as errors.
 
 **Rewrites.**  :meth:`RecordLog.remove` (the prunes) rewrites each
 affected segment without the doomed lines into a temp file and renames
@@ -165,8 +165,12 @@ def decode_line(raw: bytes) -> Optional[Tuple[str, Dict[str, Any], Any]]:
 
 
 def _line_key(raw: bytes) -> Optional[str]:
-    """The key of one line, read off its prefix when the line has one."""
-    if raw.startswith(_KEY_PREFIX):
+    """The key of one line, read off its prefix when the line has one.
+
+    Only a line that also ends like a whole record line takes the fast
+    path; anything else (a torn fragment among them) is decoded in full.
+    """
+    if raw.startswith(_KEY_PREFIX) and raw.endswith(b"}}"):
         end = raw.find(b'"', len(_KEY_PREFIX))
         key = raw[len(_KEY_PREFIX):end]
         if end > 0 and b"\\" not in key:
@@ -244,8 +248,6 @@ class RecordLog:
         self._lock = threading.RLock()
         self._pid = 0
         self._segment = ""
-        #: Complete lines that did not decode, as scanned so far.
-        self.n_corrupt = 0
         self._reset()
 
     def _reset(self) -> None:
@@ -313,8 +315,6 @@ class RecordLog:
             key = _line_key(raw)
             if key is not None:
                 index[key] = (name, pos, len(raw))
-            elif raw.strip():
-                self.n_corrupt += 1
             pos += len(raw) + 1
         self._seen[name] = (inode, pos)
         if tail:
@@ -325,12 +325,12 @@ class RecordLog:
     def refresh(self) -> None:
         """Index the bytes appended under the root since the last call.
 
-        A segment that vanished or was replaced (a prune or clear, maybe
-        by another process) drops the whole index, which is then rebuilt
-        from every segment.
+        A segment that vanished, shrank or was replaced (a prune or
+        clear, maybe by another process) drops the whole index, which is
+        then rebuilt from every segment.
         """
         with self._lock:
-            segments: Dict[str, "os.DirEntry[str]"] = {}
+            sizes: Dict[str, Tuple[int, int]] = {}
             legacy = False
             try:
                 with os.scandir(self.root) as entries:
@@ -339,28 +339,27 @@ class RecordLog:
                         if name.startswith(SEGMENT_PREFIX) and name.endswith(
                             SEGMENT_SUFFIX
                         ):
-                            segments[name] = entry
+                            try:
+                                st = entry.stat()
+                            except FileNotFoundError:
+                                continue
+                            sizes[name] = (st.st_ino, st.st_size)
                         elif len(name) == 2 and entry.is_dir():
                             legacy = True
             except FileNotFoundError:
                 pass
-            if any(name not in segments for name in self._seen):
+            if any(
+                name not in sizes
+                or sizes[name][0] != inode
+                or sizes[name][1] < pos
+                for name, (inode, pos) in self._seen.items()
+            ):
                 self._reset()
             self._legacy_shards = legacy
-            for name, entry in segments.items():
-                try:
-                    st = entry.stat()
-                except FileNotFoundError:
-                    continue
-                seen = self._seen.get(name)
-                if seen is not None:
-                    if seen[0] != st.st_ino or st.st_size < seen[1]:
-                        self._reset()
-                        self._legacy_shards = legacy
-                        return self.refresh()
-                    if st.st_size == seen[1]:
-                        continue
-                self._scan(name, seen[1] if seen is not None else 0)
+            for name, (inode, size) in sizes.items():
+                pos = self._seen.get(name, (inode, 0))[1]
+                if size > pos:
+                    self._scan(name, pos)
 
     def _scan(self, name: str, start: int) -> None:
         try:
@@ -472,10 +471,8 @@ class RecordLog:
                 self._file_size(name) for name in list(self._seen)
             )
         for key, path in self._legacy_files():
-            size = self._file_size(path)
-            if size is not None:
-                keys.add(key)
-                total += size
+            keys.add(key)
+            total += self._file_size(path)
         return len(keys), total
 
     def _file_size(self, name: str) -> int:
@@ -596,18 +593,6 @@ class RecordLog:
                 os.rmdir(shard_dir)
             except OSError:
                 continue  # not empty: keep it
-
-
-def _after_fork_in_child() -> None:
-    # A lock held by another thread at fork time would never be
-    # released in the child.
-    RecordLog._registry_lock = threading.Lock()
-    for log in RecordLog._registry.values():
-        log._lock = threading.RLock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 class Journal:

@@ -232,6 +232,50 @@ class TestIndex:
         assert cache.get_many([new, both, old]) == {}
 
 
+class TestThreads:
+    def test_concurrent_writers_and_readers_on_one_root(self, tmp_path):
+        """Six threads on two cores, switching every 10 us: every bucket
+        lands whole and every key reads back exactly once."""
+        import threading
+
+        root = str(tmp_path / "c")
+        buckets = {
+            (t, b): {f"{t:02x}{b:02x}{i:060x}": {"t": t, "b": b, "i": i}
+                     for i in range(8)}
+            for t in range(6) for b in range(10)
+        }
+        wanted = {
+            k: r for bucket in buckets.values() for k, r in bucket.items()
+        }
+        errors = []
+
+        def writer(t):
+            try:
+                cache = ResultCache(root)
+                for b in range(10):
+                    cache.put_many(buckets[t, b])
+                    cache.get_many(list(wanted)[::7])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,))
+                   for t in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert ResultCache(root).get_many(list(wanted)) == wanted
+        lines = _segment_lines(root)
+        assert sorted(decode_line(raw)[0] for raw in lines) == sorted(wanted)
+
+
 class TestTornTails:
     """A killed writer loses only the bucket it was writing."""
 
