@@ -58,6 +58,7 @@ import time
 from secrets import token_hex
 from typing import (
     Any,
+    BinaryIO,
     Dict,
     Iterable,
     Iterator,
@@ -616,7 +617,7 @@ class Journal:
 
     def __init__(self, path: Optional[str]):
         self.path = path
-        self._fd: Optional[int] = None
+        self._fh: Optional[BinaryIO] = None
         self.existing: Dict[str, Dict[str, Any]] = {}
         self.n_corrupt = 0
         if path is None:
@@ -631,11 +632,11 @@ class Journal:
             self._load(raw)
         cut = tail.strip() and not self._load(tail)
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        self._fh = open(path, "ab", buffering=0)
         if cut:
             os.truncate(path, len(data) - len(tail))
         elif tail:
-            _write_all(self._fd, b"\n")
+            _write_all(self._fh.fileno(), b"\n")
 
     def _load(self, raw: bytes) -> bool:
         if not raw.strip():
@@ -658,11 +659,14 @@ class Journal:
         caller already has them (the commit that also wrote the cache);
         otherwise the records are encoded here.
         """
-        if self._fd is None or not records:
+        if self._fh is None or not records:
             return
-        _write_all(self._fd, encode_lines(records) if lines is None else lines)
+        _write_all(
+            self._fh.fileno(),
+            encode_lines(records) if lines is None else lines,
+        )
 
     def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None

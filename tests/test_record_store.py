@@ -42,6 +42,13 @@ def _segment_lines(root):
     return lines
 
 
+def _journaled(path):
+    """The records a journal file holds, as a resume would load them."""
+    journal = Journal(path)
+    journal.close()
+    return journal.existing
+
+
 def _in_child(body):
     """Run ``body`` in a forked child; returns its exit status."""
     pid = os.fork()
@@ -364,7 +371,7 @@ class TestTornTails:
         journal.append({"k2": {"v": 2}})
         journal.close()
         assert journal.n_corrupt == 0
-        assert Journal(str(path)).existing == {"k1": {"v": 1}, "k2": {"v": 2}}
+        assert _journaled(str(path)) == {"k1": {"v": 1}, "k2": {"v": 2}}
 
 
 _CLI_SPEC = [
@@ -398,7 +405,7 @@ class TestCrashBetweenSegmentAndJournal:
                   "--journal", journal])
 
         assert _in_child(child) == 17
-        journaled = Journal(journal).existing
+        journaled = _journaled(journal)
         cached = ResultCache(cache_dir).get_many(
             [json.loads(raw)["key"] for raw in _segment_lines(cache_dir)]
         )
@@ -468,7 +475,7 @@ class TestSharedRoot:
         seen = json.loads(reader.stdout)
         journaled = set()
         for i in range(2):
-            journaled |= set(Journal(str(tmp_path / f"j{i}.jsonl")).existing)
+            journaled |= set(_journaled(str(tmp_path / f"j{i}.jsonl")))
         assert set(seen["keys"]) == journaled
         assert seen["found"] == seen["entries"] == len(journaled)
         assert seen["one_record_per_key"] and seen["torn"] == 0
@@ -529,8 +536,8 @@ class TestJobJournals:
         assert job.state == "done"
         assert len(buckets) == 3  # six 12-row points, 24 rows a bucket
         assert all(len(b) == 2 for b in buckets)
-        on_disk = Journal(store.journal_path(job.job_id))
-        assert list(on_disk.existing) == [k for b in buckets for k in b]
+        on_disk = _journaled(store.journal_path(job.job_id))
+        assert list(on_disk) == [k for b in buckets for k in b]
 
     def test_torn_tail_resumes_to_clean_records(self, tmp_path,
                                                 tiny_platform):
@@ -557,5 +564,6 @@ class TestJobJournals:
         assert job.state == "done" and job.n_from_journal == 2
         assert records == run_campaign(spec, n_workers=1).records
         healed = Journal(store.journal_path(job_id))
+        healed.close()
         assert healed.n_corrupt == 0
         assert sorted(healed.existing) == sorted(set(keys))
